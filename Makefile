@@ -5,8 +5,9 @@
 # divergence, broken scan sharing, cluster answers that are not
 # bit-exact across topologies and failovers, non-idempotent batch
 # replay, a columnar ingest speedup below 5x, a batched group solve
-# below 3x at 1024 cells (or with decisions that diverge from the
-# scalar path), a tiered store whose compaction is not bit-exact /
+# below 3x at 1024 cells against the per-sketch reference loop (or with
+# estimates or decisions that diverge from the per-sketch references),
+# a tiered store whose compaction is not bit-exact /
 # whose cold tier misses the 4x disk reduction or the cold-latency
 # ceiling, a telemetry overhead gate (disabled-mode guard cost <= 3%,
 # enabled-mode tracing + metrics <= 10% of query latency), a

@@ -1,7 +1,7 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
-Every file here regenerates one table or figure from the paper (see the
-per-experiment index in DESIGN.md).  Conventions:
+Every ``bench_fig*``/``bench_table*`` file here regenerates the table or
+figure of the paper that its name gives.  Conventions:
 
 * Each pytest function uses the ``benchmark`` fixture, so the whole suite
   runs under ``pytest benchmarks/ --benchmark-only``.  Timing-critical
@@ -13,7 +13,7 @@ per-experiment index in DESIGN.md).  Conventions:
   closer-to-paper runs).
 * Absolute times are pure-Python/numpy and therefore ~100x the paper's
   Java numbers; the *relative* orderings and crossovers are the
-  reproduction targets (EXPERIMENTS.md records both).
+  reproduction targets.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ total work; weak scaling: fixed work per thread).  Reproduction targets:
 the moments sketch stays faster than Merge12 at every thread count, and
 weak scaling holds throughput roughly flat per thread.
 
-Caveat recorded in EXPERIMENTS.md: Python threads only overlap inside
+Caveat: Python threads only overlap inside
 numpy kernels, so absolute speedups are muted compared to the paper's
 Java measurements; orderings are the reproduction target.
 """

@@ -57,8 +57,8 @@ def test_fig9_log_moment_ablation(benchmark):
     no_log, with_log = results["milan"][1][10]
     assert with_log < no_log / 2, f"milan: {no_log} -> {with_log}"
     # retail: with integer rounding and rank-interval scoring both variants
-    # are accurate on our stand-in (observed deviation from the paper,
-    # recorded in EXPERIMENTS.md); log moments must at least stay accurate.
+    # are accurate on our stand-in (an observed deviation from the paper);
+    # log moments must at least stay accurate.
     assert results["retail"][1][10][1] < 0.02
     # Occupancy: no catastrophic change in either direction.
     no_log, with_log = results["occupancy"][1][10]

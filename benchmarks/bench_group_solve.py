@@ -2,13 +2,18 @@
 
 Measures what the batched estimation layer buys on the paper's dominant
 high-cardinality cost (Figure 5 / Section 5.2): a group-by over N packed
-cells pays either N scalar Newton solves (``batched=False``) or one
-stacked solve for all groups (``batched=True``, the default everywhere).
-The run also asserts the layer's correctness contract:
+cells answered by the service's one stacked solve for all groups,
+against the per-sketch reference loop — one
+``QuantileEstimator.fit(sketch, config=..., allow_backoff=True)`` and
+``.quantiles(qs)`` per group.  The run also asserts the layer's
+correctness contract against the per-sketch references:
 
-* quantile estimates within 1e-6 (relative) of the scalar path,
-* top-N rankings bit-identical between the two paths,
-* threshold-cascade counts *and per-group deciding stages* bit-identical,
+* quantile estimates within 1e-6 (relative) of per-group
+  ``QuantileEstimator.fit``,
+* top-N rankings bit-identical to ``_quantile_bracket`` pruning plus
+  reference scoring,
+* threshold-cascade counts *and per-group deciding stages* bit-identical
+  to per-cell ``ThresholdCascade.evaluate``,
 * the batched solve reported once (``solve_calls == 1``), not per cell.
 
 Usage::
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import time
 
 import numpy as np
 
@@ -34,58 +40,98 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import PackedStoreBackend, QueryService, QuerySpec, qkey  # noqa: E402
+from repro.api.service import _quantile_bracket  # noqa: E402
+from repro.core.bounds import rtt_bound  # noqa: E402
+from repro.core.cascade import ThresholdCascade  # noqa: E402
+from repro.core.quantile import QuantileEstimator  # noqa: E402
 from repro.workload import build_packed_cells, run_group_query  # noqa: E402
 
 CELL_SIZE = 200
 GATE_CELLS = 1024
 
 
-def _services(cells, n):
+def _service(cells, n) -> QueryService:
     keys = [(int(i),) for i in range(cells.num_cells)]
     backend = PackedStoreBackend(cells.store, keys=keys, dimensions=("cell",),
                                  config=cells.config,
                                  rows=np.arange(n))
-    return (QueryService(cells=backend, batched=True),
-            QueryService(cells=backend, batched=False))
+    return QueryService(cells=backend)
+
+
+def _groups(service: QueryService) -> dict:
+    """The merged per-cell summaries a group-by over ``service`` solves."""
+    spec = QuerySpec(kind="group_by", group_dimension="cell")
+    return service.backend("cells").group_rollup(spec).groups
+
+
+def reference_quantiles(groups: dict, qs) -> dict:
+    """Per-sketch reference: one scalar max-entropy fit per group."""
+    return {g: QuantileEstimator.fit(summary.sketch, config=summary.config,
+                                     allow_backoff=True).quantiles(qs)
+            for g, summary in groups.items()}
+
+
+def reference_top_n(groups: dict, q: float, n: int) -> list:
+    """Per-sketch reference ranking: scalar brackets prune, fits score."""
+    brackets = {g: _quantile_bracket(summary.sketch, q, rtt_bound)
+                for g, summary in groups.items()}
+    cutoff = sorted((lo for lo, _ in brackets.values()), reverse=True)[n - 1]
+    candidates = {g: groups[g] for g, (_, hi) in brackets.items()
+                  if hi >= cutoff}
+    scores = reference_quantiles(candidates, [q])
+    return sorted(candidates, key=lambda g: float(scores[g][0]),
+                  reverse=True)[:n]
 
 
 def check_decisions(cells, n: int) -> list[str]:
-    """Bit-exactness of decisions + 1e-6 estimates, batched vs scalar."""
+    """Bit-exact decisions + 1e-6 estimates against per-sketch references."""
     failures: list[str] = []
-    batched, scalar = _services(cells, n)
+    service = _service(cells, n)
+    groups = _groups(service)
 
     group = QuerySpec(kind="group_by", quantiles=(0.5, 0.99),
                       group_dimension="cell")
-    rb, rs = batched.execute(group), scalar.execute(group)
+    rb = service.execute(group)
     if rb.timings.solve_route != "batched" or rb.timings.solve_calls != 1:
         failures.append(
             f"group_by must report one batched solve, got route="
             f"{rb.timings.solve_route!r} calls={rb.timings.solve_calls}")
-    rel = max(abs(rb.groups[g][key] - rs.groups[g][key])
-              / max(abs(rs.groups[g][key]), 1e-300)
-              for g in rs.groups for key in (qkey(0.5), qkey(0.99)))
+    reference = reference_quantiles(groups, [0.5, 0.99])
+    rel = max(abs(rb.groups[g][qkey(q)] - ref[i]) / max(abs(ref[i]), 1e-300)
+              for g, ref in reference.items()
+              for i, q in enumerate((0.5, 0.99)))
     if rel > 1e-6:
         failures.append(f"group_by estimates diverge: rel err {rel:.3g} > 1e-6")
 
     top = QuerySpec(kind="top_n", quantiles=(0.99,), n=10,
                     group_dimension="cell")
-    tb, ts = batched.execute(top), scalar.execute(top)
-    if [value for value, _ in tb.top] != [value for value, _ in ts.top]:
-        failures.append("top_n ranking differs between batched and scalar")
+    ranking = [value for value, _ in service.execute(top).top]
+    if ranking != reference_top_n(groups, 0.99, 10):
+        failures.append("top_n ranking differs from the per-sketch reference")
 
+    cascade = ThresholdCascade(config=service.config)
     data = cells.data[: n * CELL_SIZE]
     for t in np.quantile(data, (0.5, 0.95, 0.999)):
         spec = QuerySpec(kind="threshold_count", quantiles=(0.99,),
                          thresholds=(float(t),), group_dimension="cell")
-        cb, cs = batched.execute(spec), scalar.execute(spec)
-        if cb.value != cs.value:
-            failures.append(f"threshold count differs at t={t:.4g}: "
-                            f"{cb.value} vs {cs.value}")
+        cb = service.execute(spec)
+        outcomes = {g: cascade.evaluate(summary.sketch, float(t), 0.99)
+                    for g, summary in groups.items()}
+        if cb.value != sum(o.result for o in outcomes.values()):
+            failures.append(f"threshold count differs at t={t:.4g}")
         stages_b = {g: o[qkey(float(t))]["stage"] for g, o in cb.groups.items()}
-        stages_s = {g: o[qkey(float(t))]["stage"] for g, o in cs.groups.items()}
+        stages_s = {g: o.stage for g, o in outcomes.items()}
         if stages_b != stages_s:
             failures.append(f"cascade deciding stages differ at t={t:.4g}")
     return failures
+
+
+def time_reference(cells, n: int) -> float:
+    """Seconds the per-sketch reference loop spends solving ``n`` groups."""
+    groups = _groups(_service(cells, n))
+    start = time.perf_counter()
+    reference_quantiles(groups, [0.99])
+    return time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="also run N=64 and N=4096")
     parser.add_argument("--require-speedup", type=float, default=3.0,
-                        help="minimum batched-vs-scalar solve speedup at "
+                        help="minimum batched-vs-per-sketch solve speedup at "
                              f"{GATE_CELLS} cells (default 3)")
     parser.add_argument("--repeats", type=int, default=2,
                         help="timed runs per (size, path); the best run "
@@ -114,8 +160,8 @@ def main(argv: list[str] | None = None) -> int:
     data = rng.lognormal(1.0, 1.0, max(sizes) * CELL_SIZE)
     cells = build_packed_cells(data, cell_size=CELL_SIZE, k=10)
     # Warm both paths (grid/coefficient caches) before timing.
-    run_group_query(cells, q=0.99, num_cells=64, batched=True)
-    run_group_query(cells, q=0.99, num_cells=64, batched=False)
+    run_group_query(cells, q=0.99, num_cells=64)
+    time_reference(cells, 64)
 
     print(f"{'cells':>6} {'batched_s':>10} {'scalar_s':>10} {'speedup':>8} "
           f"{'solve_calls':>12}")
@@ -123,24 +169,23 @@ def main(argv: list[str] | None = None) -> int:
     repeats = max(args.repeats, 1)
     for n in sizes:
         batched = min(
-            (run_group_query(cells, q=0.99, num_cells=n, batched=True)
+            (run_group_query(cells, q=0.99, num_cells=n)
              for _ in range(repeats)), key=lambda t: t.solve_seconds)
-        scalar = min(
-            (run_group_query(cells, q=0.99, num_cells=n, batched=False)
-             for _ in range(repeats)), key=lambda t: t.solve_seconds)
-        speedup = (scalar.solve_seconds / batched.solve_seconds
+        scalar_seconds = min(time_reference(cells, n)
+                             for _ in range(repeats))
+        speedup = (scalar_seconds / batched.solve_seconds
                    if batched.solve_seconds else float("inf"))
         if n == GATE_CELLS:
             gate_speedup = speedup
         print(f"{n:>6} {batched.solve_seconds:>10.4f} "
-              f"{scalar.solve_seconds:>10.4f} {speedup:>7.2f}x "
+              f"{scalar_seconds:>10.4f} {speedup:>7.2f}x "
               f"{batched.solve_calls:>12}")
 
     failures = check_decisions(cells, min(256, max(sizes)))
     if gate_speedup is not None and gate_speedup < args.require_speedup:
         failures.append(
             f"batched group solve at {GATE_CELLS} cells is only "
-            f"{gate_speedup:.2f}x the scalar path "
+            f"{gate_speedup:.2f}x the per-sketch reference loop "
             f"(required >= {args.require_speedup}x)")
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -1,13 +1,14 @@
-"""Profile a high-cardinality group-by with and without batched estimation.
+"""Profile a high-cardinality group-by against a per-group solve loop.
 
 Builds a Druid-style engine with a few thousand pre-aggregated cells,
-then answers the same groupBy-p99 query twice: once with the default
-batched estimation layer (one stacked max-entropy solve for every
-group) and once with the scalar per-group path, printing the Eq. 2
-phase decomposition for both.  This is the before/after picture of PR 5:
-merge time is unchanged (both use the packed vectorized reductions),
-while the solve phase — the dominant term at high cardinality — drops by
-the batching factor.
+then answers a groupBy-p99 query with the batched estimation layer (one
+stacked max-entropy solve for every group) and prints its Eq. 2 phase
+decomposition.  For comparison it solves the same merged per-group
+sketches with an explicit loop of scalar ``QuantileEstimator.fit``
+calls, one per group.  This is the before/after picture of batching:
+merge time is the same (the packed vectorized reductions produce the
+sketches), while the solve phase — the dominant term at high
+cardinality — drops by the batching factor.
 
 Run with::
 
@@ -23,6 +24,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import QueryService, QuerySpec, qkey  # noqa: E402
+from repro.core.quantile import QuantileEstimator  # noqa: E402
 from repro.druid import DruidEngine, MomentsSketchAggregator  # noqa: E402
 
 NUM_GROUPS = 600
@@ -44,25 +46,28 @@ def main() -> None:
 
     spec = QuerySpec(kind="group_by", quantiles=(0.99,), measure="latency",
                      group_dimension="service")
-    results = {}
-    for label, batched in (("batched", True), ("scalar", False)):
-        service = QueryService(druid=engine, batched=batched)
-        service.execute(spec)  # warm caches so the comparison is fair
-        start = time.perf_counter()
-        response = service.execute(spec)
-        wall = time.perf_counter() - start
-        timings = response.timings
-        results[label] = response
-        print(f"{label:>8}: wall={wall:.3f}s merge={timings.merge_seconds:.3f}s "
-              f"solve={timings.solve_seconds:.3f}s "
-              f"(route={timings.solve_route}, solve_calls={timings.solve_calls})")
+    service = QueryService(druid=engine)
+    service.execute(spec)  # warm caches so the comparison is fair
+    start = time.perf_counter()
+    response = service.execute(spec)
+    wall = time.perf_counter() - start
+    timings = response.timings
+    print(f"       batched: wall={wall:.3f}s merge={timings.merge_seconds:.3f}s "
+          f"solve={timings.solve_seconds:.3f}s "
+          f"(route={timings.solve_route}, solve_calls={timings.solve_calls})")
+
+    groups = service.backend("druid").group_rollup(spec).groups
+    start = time.perf_counter()
+    loop = {g: QuantileEstimator.fit(summary.sketch, config=summary.config,
+                                     allow_backoff=True).quantiles([0.99])[0]
+            for g, summary in groups.items()}
+    solve = time.perf_counter() - start
+    print(f"per-group loop: solve={solve:.3f}s (solve_calls={len(loop)})")
 
     key = qkey(0.99)
-    drift = max(abs(results["batched"].groups[g][key]
-                    - results["scalar"].groups[g][key])
-                / abs(results["scalar"].groups[g][key])
-                for g in results["scalar"].groups)
-    print(f"max relative p99 difference between paths: {drift:.2e} "
+    drift = max(abs(response.groups[g][key] - loop[g]) / abs(loop[g])
+                for g in loop)
+    print(f"max relative p99 difference between the two: {drift:.2e} "
           "(contract: <= 1e-6)")
 
 

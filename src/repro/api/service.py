@@ -25,7 +25,6 @@ from ..core.errors import QueryError
 from ..core.quantile import QuantileEstimator, safe_estimate_quantiles
 from ..core.sketch import ColumnarMoments, MomentsSketch
 from ..core.solver import SolverConfig
-from ..druid.engine import _quantile_bracket
 from ..summaries.moments_summary import MomentsSummary
 from ..telemetry import TELEMETRY
 from .backends import (Backend, GroupRollupResult, RollupResult, as_backend,
@@ -64,12 +63,11 @@ class QueryService:
     or later with :meth:`register`.  The first registered backend is the
     default; ``spec.backend`` selects another by name.
 
-    ``batched`` (default on) routes every multi-group estimation phase —
+    Every multi-group estimation phase over moments-backed groups —
     ``group_by`` solves, ``top_n`` bracket pruning and scoring,
-    ``threshold_count`` cascades — through the batched max-entropy layer
-    (:mod:`repro.core.batch_solver`): one stacked Newton solve for all
-    surviving groups instead of one solve per group.  Pass
-    ``batched=False`` to A/B the scalar per-group path; the response's
+    ``threshold_count`` cascades — runs through the batched max-entropy
+    layer (:mod:`repro.core.batch_solver`): one stacked Newton solve for
+    all surviving groups instead of one solve per group.  The response's
     ``timings.solve_route``/``solve_calls`` report which path ran.
 
     ``optimizer`` (opt-in) attaches a
@@ -81,9 +79,8 @@ class QueryService:
     """
 
     def __init__(self, *args, config: SolverConfig | None = None,
-                 batched: bool = True, optimizer=None, **named):
+                 optimizer=None, **named):
         self.config = config or SolverConfig()
-        self.batched = bool(batched)
         self.optimizer = optimizer
         self._backends: dict[str, Backend] = {}
         self._default: str | None = None
@@ -215,7 +212,7 @@ class QueryService:
             # The response tier keys on everything that shapes the
             # payload: the spec's solve inputs plus the service's own
             # estimation knobs.
-            solve_sig = solve_signature(spec) + (self.batched, self.config)
+            solve_sig = solve_signature(spec) + (self.config,)
             start = time.perf_counter()
             hit = opt.cached_response(token, the_plan, solve_sig, epoch)
             lookup_seconds = time.perf_counter() - start
@@ -343,21 +340,19 @@ class QueryService:
                          ) -> tuple[list[np.ndarray], int, str]:
         """Per-summary quantile estimates for a group scan.
 
-        On the batched route every moments-backed summary joins one
-        stacked max-entropy solve (``fit_estimators``); the solved
-        estimator is seeded back into the summary's cache so later
-        per-group ``quantile`` calls are free.  Summaries without a raw
-        sketch (non-moments aggregators) fall back to their own scalar
-        path.  Returns ``(estimates, solve_calls, solve_route)``.
+        Every moments-backed summary joins one stacked max-entropy solve
+        (``fit_estimators``); the solved estimator is seeded back into
+        the summary's cache so later per-group ``quantile`` calls are
+        free.  Summaries without a raw sketch (non-moments aggregators)
+        fall back to their own scalar path, and a scan with no raw
+        sketch at all reports route ``"scalar"``.  Returns
+        ``(estimates, solve_calls, solve_route)``.
         """
         qs = np.asarray(spec.quantiles, dtype=float)
-        if not self.batched:
-            return ([np.atleast_1d(self._estimates(spec, summary))
-                     for summary in summaries], len(summaries), "scalar")
         out: list = [None] * len(summaries)
-        # Fit with the config the scalar route would use: the summary's
-        # own config on the "auto" path (summary.quantiles), the
-        # service config for estimator="maxent" (matching _estimates).
+        # Fit with the config a single-summary query would use: the
+        # summary's own config on the "auto" path (summary.quantiles),
+        # the service config for estimator="maxent" (matching _estimates).
         # Distinct configs batch separately — in practice one group.
         by_config: dict[SolverConfig, list[int]] = {}
         for index, summary in enumerate(summaries):
@@ -392,7 +387,7 @@ class QueryService:
             if out[index] is None:
                 out[index] = np.atleast_1d(self._estimates(spec, summary))
                 calls += 1
-        return out, calls, "batched"
+        return out, calls, "batched" if by_config else "scalar"
 
     def _finish_rollup(self, spec: QuerySpec, the_plan: QueryPlan,
                        result: RollupResult, timings: QueryTimings,
@@ -460,14 +455,15 @@ class QueryService:
                             ) -> tuple[dict, dict, float, int, str]:
         """Cascade every group against every threshold (Eq. 3 counting).
 
-        On the batched route the whole group set runs through
-        :meth:`ThresholdCascade.evaluate_batch` per threshold — the
-        vectorized bound stages filter all cells at once and the
-        survivors share one batched max-entropy solve — with decisions
-        identical to the per-cell cascade.  Falls back to the scalar
-        loop when any group lacks a raw moments sketch.  Also returns
-        the number of solve/cascade invocations and the route that
-        actually ran (``"batched"``/``"scalar"``) for the timings.
+        When every group carries a raw moments sketch, the whole group
+        set runs through :meth:`ThresholdCascade.evaluate_batch` per
+        threshold — the vectorized bound stages filter all cells at once
+        and the survivors share one batched max-entropy solve — with
+        decisions identical to the per-cell cascade.  Otherwise (GK,
+        t-digest, S-Hist baselines) each group is compared through its
+        own summary.  Also returns the number of solve/cascade
+        invocations and the route that ran (``"batched"``/``"scalar"``)
+        for the timings.
         """
         cascade = ThresholdCascade(config=self.config,
                                    enabled_stages=spec.cascade_stages)
@@ -475,7 +471,7 @@ class QueryService:
         groups_payload: dict = {}
         counts = {qkey(t): 0 for t in spec.thresholds}
         sketches = [sketch_of(summary) for summary in groups_map.values()]
-        if self.batched and groups_map and all(
+        if groups_map and all(
                 sketch is not None for sketch in sketches):
             route = "batched"
             # One columnar gather serves every threshold's cascade pass.
@@ -523,7 +519,6 @@ class QueryService:
         start = time.perf_counter()
         top = None
         bounds = None
-        solve_route = "batched" if self.batched else "scalar"
         if spec.kind == "group_by":
             value = None
             estimates = None
@@ -566,9 +561,9 @@ class QueryService:
         group is moments-backed and there are more groups than ``n``,
         RTT rank bounds bracket each group's quantile and groups whose
         best case cannot beat the n-th worst case are discarded before
-        any max-entropy solve.  On the batched route the bracket
-        bisection runs all groups through :func:`rtt_bound_batch` per
-        step (identical brackets, so identical pruning) and the
+        any max-entropy solve.  The bracket bisection runs all groups
+        through :func:`rtt_bound_batch` per step (the same brackets as
+        :func:`_quantile_bracket`, so the same pruning) and the
         surviving candidates share one batched solve.  Also returns the
         solve-call count for the timings.
         """
@@ -578,14 +573,9 @@ class QueryService:
                     for value, summary in groups_map.items()
                     if isinstance(summary, MomentsSummary)}
         if len(sketches) == len(groups_map) and len(groups_map) > n:
-            if self.batched:
-                lows, highs = _quantile_brackets_batch(
-                    list(sketches.values()), q)
-                brackets = {value: (lows[i], highs[i])
-                            for i, value in enumerate(sketches)}
-            else:
-                brackets = {value: _quantile_bracket(sketch, q, rtt_bound)
-                            for value, sketch in sketches.items()}
+            lows, highs = _quantile_brackets_batch(list(sketches.values()), q)
+            brackets = {value: (lows[i], highs[i])
+                        for i, value in enumerate(sketches)}
             floors = sorted((b[0] for b in brackets.values()), reverse=True)
             cutoff = floors[n - 1]
             candidates = [value for value, (lo, hi) in brackets.items()
@@ -623,9 +613,33 @@ class QueryService:
                                  solve_route="window"))
 
 
+def _quantile_bracket(sketch, q: float, bound_fn) -> tuple[float, float]:
+    """[lower, upper] interval guaranteed to contain the q-quantile.
+
+    Bisects on the threshold t: F(t) bounds from the moment inequalities
+    tell us whether the q-quantile must lie above or below t.  The
+    one-sketch reference that :func:`_quantile_brackets_batch` must
+    reproduce row for row.
+    """
+    lo, hi = sketch.min, sketch.max
+    target = q * sketch.count
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        bounds = bound_fn(sketch, mid)
+        if bounds.upper < target:
+            lo = mid          # quantile certainly above mid
+        elif bounds.lower > target:
+            hi = mid          # quantile certainly below mid
+        else:
+            break             # undecidable: the bracket is [lo, hi]
+    # Conservative expansion: the undecided region around mid belongs to
+    # both sides, so return the outer bracket.
+    return lo, hi
+
+
 def _quantile_brackets_batch(sketches: list, q: float
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.druid.engine._quantile_bracket` over cells.
+    """Vectorized :func:`_quantile_bracket` over cells.
 
     Runs every group's bisection in lockstep, evaluating one
     :func:`rtt_bound_batch` call per step over the still-undecided rows.

@@ -15,6 +15,7 @@ merged moments (on request), and the Eq. 2 cost decomposition
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -137,6 +138,9 @@ class QuerySpec:
                            tuple(float(q) for q in self.quantiles))
         object.__setattr__(self, "thresholds",
                            tuple(float(t) for t in self.thresholds))
+        if any(math.isnan(t) for t in self.thresholds):
+            raise QueryError(f"thresholds must not be NaN, "
+                             f"got {self.thresholds}")
         if isinstance(self.filters, Mapping):
             object.__setattr__(self, "filters",
                                tuple(sorted(self.filters.items(),
@@ -149,6 +153,9 @@ class QuerySpec:
         if self.interval is not None:
             lo, hi = self.interval
             object.__setattr__(self, "interval", (float(lo), float(hi)))
+            if any(math.isnan(bound) for bound in self.interval):
+                raise QueryError(f"interval bounds must not be NaN, "
+                                 f"got {self.interval}")
             if self.interval[0] > self.interval[1]:
                 raise QueryError(f"empty interval {self.interval}")
         object.__setattr__(self, "cascade_stages", tuple(self.cascade_stages))
@@ -295,8 +302,9 @@ class QueryTimings:
     """Eq. 2 cost decomposition: plan + scan, merge fold, estimator solve.
 
     ``solve_route`` records which estimation path ran the solve phase —
-    ``"batched"`` (one stacked max-entropy solve across all groups),
-    ``"scalar"`` (one solve per group, and all single-summary solves),
+    ``"batched"`` (one stacked max-entropy solve across all
+    moments-backed groups), ``"scalar"`` (single-summary solves, and one
+    solve per group for non-moments summaries),
     ``"bounds"`` (closed-form RTT/Markov bounds, the ``cdf`` kind),
     ``"window"`` (per-window sliding scans), or ``"cached"`` (no solve
     ran at all: the multi-query optimizer served a previously solved

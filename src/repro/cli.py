@@ -60,12 +60,11 @@ def _load_sketch(path: str) -> MomentsSketch:
     return MomentsSketch.from_bytes(Path(path).read_bytes())
 
 
-def _sketch_service(sketch: MomentsSketch,
-                    batched: bool = True) -> QueryService:
+def _sketch_service(sketch: MomentsSketch) -> QueryService:
     """A single-sketch query service (the CLI's one-cell backend)."""
     summary = MomentsSummary(k=sketch.k, track_log=sketch.track_log)
     summary.sketch = sketch
-    return QueryService(sketch=SummariesBackend([summary]), batched=batched)
+    return QueryService(sketch=SummariesBackend([summary]))
 
 
 def _quantile_args(args: argparse.Namespace, default: list[float]) -> list[float]:
@@ -107,7 +106,7 @@ def cmd_merge(args: argparse.Namespace) -> dict:
 
 def cmd_query(args: argparse.Namespace) -> dict:
     sketch = _load_sketch(args.sketch)
-    service = _sketch_service(sketch, batched=args.batched)
+    service = _sketch_service(sketch)
     if args.spec:
         return service.execute(QuerySpec.from_json(args.spec)).to_dict()
     qs = _quantile_args(args, default=[0.5, 0.99])
@@ -119,7 +118,7 @@ def cmd_query(args: argparse.Namespace) -> dict:
 
 def cmd_threshold(args: argparse.Namespace) -> dict:
     sketch = _load_sketch(args.sketch)
-    service = _sketch_service(sketch, batched=args.batched)
+    service = _sketch_service(sketch)
     if args.spec:
         return service.execute(QuerySpec.from_json(args.spec)).to_dict()
     if args.t is None:
@@ -700,11 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deprecated alias of --q")
     query.add_argument("--spec", default=None,
                        help="QuerySpec JSON; emits the full QueryResponse")
-    query.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="route group/threshold estimation through the "
-                            "batched max-entropy layer (--no-batched A/Bs "
-                            "the scalar per-group path)")
     query.set_defaults(handler=cmd_query)
 
     threshold = sketch_sub.add_parser("threshold",
@@ -718,11 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="deprecated alias of --q")
     threshold.add_argument("--spec", default=None,
                            help="QuerySpec JSON; emits the full QueryResponse")
-    threshold.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="route the cascade through the batched "
-                                "estimation layer (--no-batched A/Bs the "
-                                "scalar path)")
     threshold.set_defaults(handler=cmd_threshold)
 
     info = sketch_sub.add_parser("info", help="inspect a sketch file")

@@ -336,7 +336,6 @@ class DataCube:
 
     def group_quantiles(self, dimension: str, q=None,
                         filters: Mapping[str, object] | None = None, *,
-                        batched: bool = True,
                         phi: float | None = None) -> dict[object, dict[str, float]]:
         """Finalized quantile estimates per group, solved in one call.
 
@@ -346,8 +345,7 @@ class DataCube:
         high-cardinality estimation phase is a single stacked Newton
         pass instead of one solve per group.  ``q`` may be a scalar or a
         sequence of quantile fractions; the result maps each group value
-        to ``{qkey(q): estimate}``.  ``batched=False`` A/Bs the scalar
-        per-group path.  The ``phi=`` keyword is deprecated.
+        to ``{qkey(q): estimate}``.  The ``phi=`` keyword is deprecated.
         """
         from ..api import QuerySpec, QueryService
         if q is None or isinstance(q, (int, float)):
@@ -356,7 +354,7 @@ class DataCube:
             qs = tuple(float(value) for value in q)
         spec = QuerySpec(kind="group_by", quantiles=qs,
                          group_dimension=dimension, filters=filters or {})
-        response = QueryService(cube=self, batched=batched).execute(spec)
+        response = QueryService(cube=self).execute(spec)
         return dict(response.groups or {})
 
     def _group_summaries(self, dimension: str,

@@ -6,7 +6,7 @@ raw files are not redistributable, so each generator below synthesizes data
 matching the published Table 1 characteristics — support, central moments,
 skew, and qualitative shape (long-tailed, bimodal, discretized...) — which
 is what drives quantile-estimation difficulty.  Generator-vs-paper summary
-statistics are recorded by the Table 1 benchmark and in EXPERIMENTS.md.
+statistics are printed side by side by ``benchmarks/bench_table1_datasets.py``.
 
 Sizes are parameterized (the paper's milan has 81M rows; the default here
 is laptop-scale) and every generator is deterministic given a seed.

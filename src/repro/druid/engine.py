@@ -82,9 +82,9 @@ class QueryResult:
     matching state, ``merge_seconds`` the merge fold, and
     ``finalize_seconds`` (alias ``solve_seconds``) the estimator solve
     — reported once per query, never summed per cell.  ``solve_route``
-    records which estimation path ran on kinds where both exist
-    (``"batched"``/``"scalar"``), so workload scripts can A/B the
-    batched estimation layer.
+    records which estimation path ran (``"batched"`` for moments-backed
+    group kinds, ``"scalar"`` for single-summary solves and non-moments
+    groups), so workload scripts can attribute the solve phase.
     """
 
     value: float
@@ -426,10 +426,9 @@ def top_n_by_quantile(engine: DruidEngine, aggregator: str, dimension: str,
     Shim over the unified API's ``top_n`` kind, which keeps the
     bounds-before-estimates pruning (RTT rank-bound brackets discard
     groups that cannot make the list before any max-entropy solve — see
-    :meth:`repro.api.QueryService._top_n`) and, on the default batched
-    route, runs the bracket bisection and the surviving candidates'
-    solves as stacked vectorized passes with identical decisions.  The
-    ``phi=`` keyword is deprecated in favor of ``q``.
+    :meth:`repro.api.QueryService._top_n`) and runs the bracket
+    bisection and the surviving candidates' solves as stacked vectorized
+    passes.  The ``phi=`` keyword is deprecated in favor of ``q``.
 
     Returns (dimension value, quantile estimate) pairs, best first.
     """
@@ -439,25 +438,3 @@ def top_n_by_quantile(engine: DruidEngine, aggregator: str, dimension: str,
                      group_dimension=dimension, n=n, filters=filters or {})
     response = QueryService(druid=engine).execute(spec)
     return [(value, estimate) for value, estimate in (response.top or [])]
-
-
-def _quantile_bracket(sketch, q: float, bound_fn) -> tuple[float, float]:
-    """[lower, upper] interval guaranteed to contain the q-quantile.
-
-    Bisects on the threshold t: F(t) bounds from the moment inequalities
-    tell us whether the q-quantile must lie above or below t.
-    """
-    lo, hi = sketch.min, sketch.max
-    target = q * sketch.count
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        bounds = bound_fn(sketch, mid)
-        if bounds.upper < target:
-            lo = mid          # quantile certainly above mid
-        elif bounds.lower > target:
-            hi = mid          # quantile certainly below mid
-        else:
-            break             # undecidable: the bracket is [lo, hi]
-    # Conservative expansion: the undecided region around mid belongs to
-    # both sides, so return the outer bracket.
-    return lo, hi

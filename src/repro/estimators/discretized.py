@@ -14,7 +14,7 @@ matching the moment constraints:
   identical discretized program through its smooth dual with a generic
   first-order scipy optimizer, which preserves the comparison's point —
   a generic-solver formulation is orders of magnitude slower than the
-  specialized Newton solver of Section 4.3 (documented in DESIGN.md).
+  specialized Newton solver of Section 4.3.
 """
 
 from __future__ import annotations

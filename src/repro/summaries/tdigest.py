@@ -5,7 +5,8 @@ Centroids ``(mean, weight)`` sorted by mean; the scale function
 k-space, which concentrates resolution at the extreme quantiles.  This is
 the buffer-and-merge formulation from Dunning & Ertl's reference repository;
 the paper benchmarks the AVL-tree variant of the same data structure with
-identical accuracy characteristics (documented substitution in DESIGN.md).
+identical accuracy characteristics, so this substitution keeps the
+comparison.
 
 Merging two digests concatenates centroid lists and re-clusters — the
 operation is associative up to interpolation error, which is exactly the

@@ -133,15 +133,11 @@ class GroupQueryTiming:
 
 
 def run_group_query(cells: PackedCellSet, q: float = 0.99,
-                    num_cells: int | None = None,
-                    batched: bool = True) -> GroupQueryTiming:
+                    num_cells: int | None = None) -> GroupQueryTiming:
     """Group-by over packed cells (one group per cell), timed per phase.
 
-    The workload harness's A/B hook for the batched estimation layer:
-    with ``batched=True`` (the default) every group's max-entropy solve
-    runs in one stacked Newton pass; ``batched=False`` replays the
-    scalar one-solve-per-group plan.  Answers are within the batched
-    layer's 1e-6 contract of each other; the returned timing carries
+    Every group's max-entropy solve runs in one stacked Newton pass of
+    the batched estimation layer; the returned timing carries
     ``solve_route``/``solve_calls`` so scripts can report the split.
     """
     from ..api import PackedStoreBackend, QuerySpec, QueryService
@@ -155,7 +151,7 @@ def run_group_query(cells: PackedCellSet, q: float = 0.99,
                                                     for i in range(cells.num_cells)],
                                  dimensions=("cell",), config=cells.config,
                                  rows=rows)
-    service = QueryService(cells=backend, batched=batched)
+    service = QueryService(cells=backend)
     response = service.execute(QuerySpec(kind="group_by", quantiles=(q,),
                                          group_dimension="cell"))
     timings = response.timings

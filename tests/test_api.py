@@ -74,6 +74,29 @@ class TestQuerySpec:
         with pytest.raises(QueryError):
             QuerySpec(kind="threshold_count", quantiles=(0.99,))
 
+    def test_nan_thresholds_and_interval_bounds_rejected(self, cube):
+        nan = float("nan")
+        with pytest.raises(QueryError):
+            QuerySpec(kind="cdf", thresholds=(1.0, nan))
+        with pytest.raises(QueryError):
+            QuerySpec(kind="threshold_count", quantiles=(0.99,),
+                      thresholds=(nan,), group_dimension="country")
+        with pytest.raises(QueryError):
+            QuerySpec.from_json('{"kind": "cdf", "thresholds": [NaN]}')
+        with pytest.raises(QueryError):
+            QuerySpec(kind="quantile", interval=(0.0, nan))
+        # The service surfaces the typed error, not a numpy LinAlgError.
+        with pytest.raises(QueryError):
+            QueryService(cube=cube).execute(
+                {"kind": "threshold_count", "q": 0.99, "t": nan,
+                 "group_dimension": "country"})
+
+    def test_infinite_thresholds_still_answer(self, cube):
+        response = QueryService(cube=cube).execute(QuerySpec(
+            kind="cdf", thresholds=(float("-inf"), float("inf"))))
+        assert response.estimates[qkey(float("-inf"))] == pytest.approx(0.0)
+        assert response.estimates[qkey(float("inf"))] == pytest.approx(1.0)
+
     def test_windowed_needs_window(self):
         with pytest.raises(QueryError):
             QuerySpec(kind="windowed", quantiles=(0.99,), thresholds=(1.0,))

@@ -12,7 +12,10 @@ The layer's contract, asserted here:
   surface the canonical outcome without disturbing their batch-mates;
 * the vectorized markov/rtt bounds equal their scalar counterparts
   element-wise, so batched cascade decisions are bit-identical;
-* the query service reports one batched solve (not one per cell).
+* the vectorized top-n brackets equal the scalar bracket bisection;
+* the query service reports one batched solve (not one per cell), with
+  estimates, rankings and cascade decisions matching the per-group
+  references (scalar fits, brackets and per-cell cascades).
 """
 
 import warnings
@@ -256,6 +259,25 @@ class TestCascadeQRename:
                     sketch, 1.5, 0.5, phi=0.5)
 
 
+def reference_quantiles(groups, qs):
+    """Per-group scalar fits: the one-solve-per-group reference."""
+    return {g: QuantileEstimator.fit(summary.sketch, config=summary.config,
+                                     allow_backoff=True).quantiles(qs)
+            for g, summary in groups.items()}
+
+
+class TestQuantileBrackets:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_batch_equals_scalar_bracket(self, seed, q):
+        from repro.api.service import (_quantile_bracket,
+                                       _quantile_brackets_batch)
+        sketches = make_sketches(seed=seed, count=16)
+        lows, highs = _quantile_brackets_batch(sketches, q)
+        expected = [_quantile_bracket(s, q, rtt_bound) for s in sketches]
+        assert list(zip(lows.tolist(), highs.tolist())) == expected
+
+
 class TestServiceBatchedRouting:
     @pytest.fixture(scope="class")
     def cube(self):
@@ -272,24 +294,34 @@ class TestServiceBatchedRouting:
         from repro.api import QueryService, QuerySpec, qkey
         spec = QuerySpec(kind="group_by", quantiles=(0.9,),
                          group_dimension="g")
-        batched = QueryService(cube=cube, batched=True).execute(spec)
-        scalar = QueryService(cube=cube, batched=False).execute(spec)
-        assert batched.timings.solve_route == "batched"
-        assert batched.timings.solve_calls == 1
-        assert scalar.timings.solve_route == "scalar"
-        assert scalar.timings.solve_calls == len(scalar.groups)
-        for group, payload in scalar.groups.items():
-            assert batched.groups[group][qkey(0.9)] == pytest.approx(
-                payload[qkey(0.9)], rel=1e-6)
+        response = QueryService(cube=cube).execute(spec)
+        assert response.timings.solve_route == "batched"
+        assert response.timings.solve_calls == 1
+        reference = reference_quantiles(cube.group_by("g"), [0.9])
+        assert set(response.groups) == set(reference)
+        for group, estimates in reference.items():
+            assert response.groups[group][qkey(0.9)] == pytest.approx(
+                estimates[0], rel=1e-6)
 
     def test_top_n_identical_and_single_solve(self, cube):
         from repro.api import QueryService, QuerySpec
-        spec = QuerySpec(kind="top_n", quantiles=(0.99,), n=5,
+        from repro.api.service import _quantile_bracket
+        q, n = 0.99, 5
+        spec = QuerySpec(kind="top_n", quantiles=(q,), n=n,
                          group_dimension="g")
-        batched = QueryService(cube=cube, batched=True).execute(spec)
-        scalar = QueryService(cube=cube, batched=False).execute(spec)
-        assert [v for v, _ in batched.top] == [v for v, _ in scalar.top]
-        assert batched.timings.solve_calls == 1
+        response = QueryService(cube=cube).execute(spec)
+        groups = cube.group_by("g")
+        brackets = {g: _quantile_bracket(summary.sketch, q, rtt_bound)
+                    for g, summary in groups.items()}
+        cutoff = sorted((lo for lo, _ in brackets.values()), reverse=True)[n - 1]
+        candidates = {g: groups[g] for g, (_, hi) in brackets.items()
+                      if hi >= cutoff}
+        assert len(candidates) < len(groups)  # the brackets prune
+        scores = reference_quantiles(candidates, [q])
+        expected = sorted(candidates, key=lambda g: float(scores[g][0]),
+                          reverse=True)[:n]
+        assert [v for v, _ in response.top] == expected
+        assert response.timings.solve_calls == 1
 
     def test_threshold_count_identical(self, cube):
         from repro.api import QueryService, QuerySpec, qkey
@@ -297,12 +329,16 @@ class TestServiceBatchedRouting:
         t = float(rollup.quantile(0.95))
         spec = QuerySpec(kind="threshold_count", quantiles=(0.99,),
                          thresholds=(t,), group_dimension="g")
-        batched = QueryService(cube=cube, batched=True).execute(spec)
-        scalar = QueryService(cube=cube, batched=False).execute(spec)
-        assert batched.value == scalar.value
-        assert {g: o[qkey(t)]["stage"] for g, o in batched.groups.items()} \
-            == {g: o[qkey(t)]["stage"] for g, o in scalar.groups.items()}
-        assert batched.timings.solve_calls == 1
+        service = QueryService(cube=cube)
+        response = service.execute(spec)
+        cascade = ThresholdCascade(config=service.config)
+        outcomes = {g: cascade.evaluate(summary.sketch, t, 0.99)
+                    for g, summary in cube.group_by("g").items()}
+        assert response.value == sum(o.result for o in outcomes.values())
+        assert {g: (o[qkey(t)]["exceeds"], o[qkey(t)]["stage"])
+                for g, o in response.groups.items()} \
+            == {g: (o.result, o.stage) for g, o in outcomes.items()}
+        assert response.timings.solve_calls == 1
 
     def test_top_n_maxent_over_non_moments_summaries(self):
         # top_n never consulted spec.estimator: estimator="maxent" over
@@ -317,9 +353,9 @@ class TestServiceBatchedRouting:
                       rng.lognormal(1.0, 1.0, 2000))
         spec = QuerySpec(kind="top_n", quantiles=(0.9,), n=3, measure="h",
                          group_dimension="d", estimator="maxent")
-        for batched in (True, False):
-            response = QueryService(druid=engine, batched=batched).execute(spec)
-            assert len(response.top) == 3
+        response = QueryService(druid=engine).execute(spec)
+        assert len(response.top) == 3
+        assert response.timings.solve_route == "scalar"
 
     def test_batched_respects_summary_config(self):
         # The batched fit must use each summary's own SolverConfig (like
@@ -334,11 +370,12 @@ class TestServiceBatchedRouting:
                                      config=coarse)
         spec = QuerySpec(kind="group_by", quantiles=(0.9,),
                          group_dimension="cell")
-        batched = QueryService(cells=backend, batched=True).execute(spec)
-        scalar = QueryService(cells=backend, batched=False).execute(spec)
-        for group, payload in scalar.groups.items():
-            assert batched.groups[group][qkey(0.9)] == pytest.approx(
-                payload[qkey(0.9)], rel=1e-9)
+        response = QueryService(cells=backend).execute(spec)
+        groups = backend.group_rollup(spec).groups
+        assert all(summary.config == coarse for summary in groups.values())
+        for group, estimates in reference_quantiles(groups, [0.9]).items():
+            assert response.groups[group][qkey(0.9)] == pytest.approx(
+                estimates[0], rel=1e-9)
 
     def test_threshold_scalar_fallback_reports_scalar_route(self):
         # Mixed/non-moments groups fall back to the per-cell cascade;
@@ -353,7 +390,7 @@ class TestServiceBatchedRouting:
                       rng.lognormal(1.0, 1.0, 1000))
         spec = QuerySpec(kind="threshold_count", quantiles=(0.99,),
                          thresholds=(5.0,), group_dimension="d", measure="h")
-        response = QueryService(druid=engine, batched=True).execute(spec)
+        response = QueryService(druid=engine).execute(spec)
         assert response.timings.solve_route == "scalar"
 
     def test_timings_round_trip_with_solve_route(self, cube):
