@@ -16,6 +16,10 @@ correctness contract against the per-sketch references:
   to per-cell ``ThresholdCascade.evaluate``,
 * the batched solve reported once (``solve_calls == 1``), not per cell.
 
+Each row prints both arms' seconds and milliseconds per sketch, the
+speedup, and the most Newton iterations any group needed in each arm
+(batched/scalar).
+
 Usage::
 
     python benchmarks/bench_group_solve.py                   # gate at 1024
@@ -43,7 +47,9 @@ from repro.api import PackedStoreBackend, QueryService, QuerySpec, qkey  # noqa:
 from repro.api.service import _quantile_bracket  # noqa: E402
 from repro.core.bounds import rtt_bound  # noqa: E402
 from repro.core.cascade import ThresholdCascade  # noqa: E402
+from repro.core.batch_solver import fit_estimators  # noqa: E402
 from repro.core.quantile import QuantileEstimator  # noqa: E402
+from repro.core.solver import solve  # noqa: E402
 from repro.workload import build_packed_cells, run_group_query  # noqa: E402
 
 CELL_SIZE = 200
@@ -134,6 +140,21 @@ def time_reference(cells, n: int) -> float:
     return time.perf_counter() - start
 
 
+def newton_iterations(cells, n: int) -> tuple[int, int]:
+    """Most Newton iterations any of ``n`` groups needs: (batched, scalar).
+
+    Untimed.  The batched count comes from one stacked fit of the
+    groups; the scalar count re-solves each fitted basis with the scalar
+    Newton loop the reference arm runs.
+    """
+    groups = _groups(_service(cells, n))
+    fitted, _, _ = fit_estimators([s.sketch for s in groups.values()],
+                                  cells.config, allow_backoff=True)
+    solved = [e for e in fitted if e is not None and e.result is not None]
+    return (max(e.result.iterations for e in solved),
+            max(solve(e.basis, cells.config).iterations for e in solved))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -163,8 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     run_group_query(cells, q=0.99, num_cells=64)
     time_reference(cells, 64)
 
-    print(f"{'cells':>6} {'batched_s':>10} {'scalar_s':>10} {'speedup':>8} "
-          f"{'solve_calls':>12}")
+    print(f"{'cells':>6} {'batched_s':>10} {'scalar_s':>10} "
+          f"{'batched_ms/sk':>14} {'scalar_ms/sk':>13} {'speedup':>8} "
+          f"{'max_newton_b/s':>15} {'solve_calls':>12}")
     gate_speedup = None
     repeats = max(args.repeats, 1)
     for n in sizes:
@@ -177,9 +199,12 @@ def main(argv: list[str] | None = None) -> int:
                    if batched.solve_seconds else float("inf"))
         if n == GATE_CELLS:
             gate_speedup = speedup
+        iterations = "%d/%d" % newton_iterations(cells, n)
         print(f"{n:>6} {batched.solve_seconds:>10.4f} "
-              f"{scalar_seconds:>10.4f} {speedup:>7.2f}x "
-              f"{batched.solve_calls:>12}")
+              f"{scalar_seconds:>10.4f} "
+              f"{1e3 * batched.solve_seconds / n:>14.3f} "
+              f"{1e3 * scalar_seconds / n:>13.3f} {speedup:>7.2f}x "
+              f"{iterations:>15} {batched.solve_calls:>12}")
 
     failures = check_decisions(cells, min(256, max(sizes)))
     if gate_speedup is not None and gate_speedup < args.require_speedup:

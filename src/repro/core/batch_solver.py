@@ -29,11 +29,14 @@ batched quantile estimates within 1e-6 of the scalar path, and identical
 cascade/top-N decisions.
 
 :func:`fit_estimators` is the high-level entry point: it batches moment
-selection (:func:`repro.core.selector.select_moments_batch`), the Newton
-solves, the Chebyshev-antiderivative CDF construction, and the monotone
-CDF tabulation, and returns per-sketch
-:class:`~repro.core.quantile.QuantileEstimator` objects that behave
-exactly like scalar-fit ones.
+selection (:func:`repro.core.selector.select_moments_batch`), basis
+construction, the Newton solves, and the CDF build
+(:func:`repro.core.quantile._cdf_tables`), and returns per-sketch
+:class:`~repro.core.quantile.QuantileEstimator` objects.  Selection, bases
+and CDF build are the same kernels ``QuantileEstimator.fit`` runs on one
+row; only the Newton loop differs (the scalar loop is faster for one
+problem), so a batched estimator differs from a scalar fit only by the
+two Newton loops' rounding.
 """
 
 from __future__ import annotations
@@ -41,14 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
-import functools
-
-from .chebyshev import (chebyshev_nodes, clenshaw_curtis_weights,
-                        eval_chebyshev_series_stacked)
-from .errors import ConvergenceError
-from .quantile import QuantileEstimator
+from .chebyshev import chebyshev_nodes, clenshaw_curtis_weights
+from .errors import ConvergenceError, EstimationError
+from .quantile import QuantileEstimator, _cdf_tables
 from .selector import MomentSelection, select_moments_batch
 from .solver import (MaxEntBasis, MaxEntResult, SolverConfig,
                      _basis_matrices_stacked, _solve_newton_step,
@@ -86,27 +85,6 @@ class BatchEstimationReport:
 # ----------------------------------------------------------------------
 # Stacked evaluation helpers
 # ----------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=8)
-def _chebyshev_value_table(grid_size: int, orders: int) -> np.ndarray:
-    """``T[k, j] = T_k(u_j)`` on the uniform tabulation grid, cached.
-
-    The CDF tabulation evaluates each problem's antiderivative series on
-    the same ``linspace(-1, 1, grid_size)`` grid; with the Chebyshev
-    values precomputed once per grid, that evaluation collapses to one
-    small matmul per problem instead of a length-L Clenshaw recurrence
-    over the full grid.
-    """
-    u = np.clip(np.linspace(-1.0, 1.0, grid_size), -1.0, 1.0)
-    table = np.empty((orders, grid_size))
-    table[0] = 1.0
-    if orders > 1:
-        table[1] = u
-    for order in range(2, orders):
-        table[order] = 2.0 * u * table[order - 1] - table[order - 2]
-    table.setflags(write=False)
-    return table
-
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row dot products via stacked matmul (bit-equal to ``np.dot``)."""
@@ -252,7 +230,9 @@ def _solve_group(bases: list, config: SolverConfig
                              - alpha[pending, None] * step[pending])
                 cvalue = _potential_rows(candidate, Ba[pending], w,
                                          da[pending])
-            ok = np.isfinite(cvalue) & (
+            lowers = (cvalue < lva[pending]) | (
+                (alpha[pending] == 1.0) & (cvalue == lva[pending]))
+            ok = np.isfinite(cvalue) & lowers & (
                 cvalue <= lva[pending] - 1e-4 * alpha[pending] * slope[pending])
             taken = pending[ok]
             tha[taken] = candidate[ok]
@@ -376,98 +356,16 @@ def fit_estimators(sketches, config: SolverConfig | None = None,
         else:
             errors[index] = outcome.errors[position]
             failures += 1
-    _attach_cdfs(pending, sketches, estimators, config)
+    cdfs = _cdf_tables([entry[1] for entry in pending],
+                       [entry[2].theta for entry in pending], config)
+    for (index, basis, result, selection), cdf in zip(pending, cdfs):
+        if cdf is None:
+            raise EstimationError("solved density integrates to zero")
+        estimators[index] = QuantileEstimator(sketches[index], basis, result,
+                                              selection, *cdf)
     return estimators, errors, BatchEstimationReport(
         problems=len(sketches), point_masses=point_masses,
         batched=outcome.batched, stragglers=stragglers, failures=failures)
-
-
-def _attach_cdfs(pending: list, sketches: list, estimators: list,
-                 config: SolverConfig) -> None:
-    """Build every solved problem's CDF table in stacked passes.
-
-    Reproduces ``QuantileEstimator._build_cdf`` + ``_tabulate`` row-wise:
-    density on the fine Lobatto grid, batched DCT interpolation, noise
-    trimming, closed-form antiderivative, and the dense monotone CDF
-    table — each an element-wise or slice-wise operation, so every row
-    matches the scalar construction for the same theta.
-    """
-    by_shape: dict[tuple, list] = {}
-    for entry in pending:
-        basis = entry[1]
-        by_shape.setdefault((basis.k1, basis.k2, basis.domain), []).append(entry)
-    for entries in by_shape.values():
-        group = [entry[1] for entry in entries]
-        nodes = chebyshev_nodes(config.cdf_grid_size)
-        matrices = _basis_matrices_stacked(group, nodes)
-        theta = np.stack([entry[2].theta for entry in entries])
-        density = np.exp(np.matmul(theta[:, None, :], matrices)[:, 0, :])
-        coeffs = dct(density, type=1, axis=-1) / config.cdf_grid_size
-        coeffs[:, 0] *= 0.5
-        coeffs[:, -1] *= 0.5
-        # Trim float dust below each row's relative noise floor (same rule
-        # as the scalar build; rows with nothing significant keep full
-        # length there too).
-        full = coeffs.shape[1]
-        above = np.abs(coeffs) > (np.abs(coeffs).max(axis=1) * 1e-14)[:, None]
-        has_significant = above.any(axis=1)
-        last = np.where(has_significant,
-                        full - 1 - np.argmax(above[:, ::-1], axis=1), full - 1)
-        trim_len = last + 1
-        columns = np.arange(full)
-        coeffs = np.where(columns[None, :] < trim_len[:, None], coeffs, 0.0)
-        # Antiderivative of each trimmed series (chebyshev.antiderivative_
-        # series vectorized over rows; entries past a row's own length are
-        # zeroed so trailing-zero Clenshaw padding stays exact).
-        padded = np.zeros((len(entries), full + 2))
-        padded[:, :full] = coeffs
-        anti = np.zeros((len(entries), full + 1))
-        anti[:, 1] = padded[:, 0] - padded[:, 2] / 2.0
-        orders = np.arange(2, full + 1)
-        anti[:, 2:] = (padded[:, 1:full] - padded[:, 3:full + 2]) \
-            / (2.0 * orders)
-        anti_len = trim_len + 1
-        anti_columns = np.arange(full + 1)
-        anti = np.where(anti_columns[None, :] < anti_len[:, None], anti, 0.0)
-        lo = eval_chebyshev_series_stacked(anti, np.asarray(-1.0))
-        hi = eval_chebyshev_series_stacked(anti, np.asarray(1.0))
-        scale = hi - lo
-        degenerate = ~(hi > lo)
-        by_grid: dict[tuple[int, int], list[int]] = {}
-        for row in range(len(entries)):
-            if degenerate[row]:
-                # "solved density integrates to zero": re-run the scalar
-                # fit so the canonical EstimationError (or a backoff
-                # recovery) surfaces exactly as it would have.
-                index = entries[row][0]
-                estimators[index] = QuantileEstimator.fit(
-                    sketches[index], config=config)
-                continue
-            # Rows are bucketed by their own padded series length (a
-            # multiple of 64), never by their batch-mates', so a row's
-            # tabulation is identical whatever batch it rides in.
-            bucket = min(-(-int(anti_len[row]) // 64) * 64, anti.shape[1])
-            by_grid.setdefault(
-                (max(4 * int(anti_len[row]), 2049), bucket), []).append(row)
-        for (grid_size, bucket), rows in by_grid.items():
-            grid = np.linspace(-1.0, 1.0, grid_size)
-            # One small matmul per problem against the cached Chebyshev
-            # value table (per-slice, so each row is independent of its
-            # batch-mates); agrees with the scalar Clenshaw evaluation to
-            # ~1e-13 relative, far inside the 1e-6 estimate contract.
-            table = _chebyshev_value_table(grid_size, anti.shape[1])[:bucket]
-            raw = np.matmul(anti[rows][:, None, :bucket], table)[:, 0, :]
-            values = np.clip((raw - lo[rows, None]) / scale[rows, None],
-                             0.0, 1.0)
-            values = np.maximum.accumulate(values, axis=1)
-            for position, row in enumerate(rows):
-                index, basis, result, selection = entries[row]
-                estimators[index] = QuantileEstimator(
-                    sketch=sketches[index], basis=basis, result=result,
-                    selection=selection,
-                    _cdf_coeffs=anti[row, :int(anti_len[row])].copy(),
-                    _cdf_offset=float(lo[row]), _cdf_scale=float(scale[row]),
-                    _grid_u=grid, _grid_cdf=values[position].copy())
 
 
 def estimate_quantiles_batch(sketches, qs, config: SolverConfig | None = None,

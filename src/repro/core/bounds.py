@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BoundError
 from .sketch import ColumnarMoments, MomentsSketch
-from .moments import shifted_moments
+from .moments import max_stable_orders, shifted_moments, stable_orders_rows
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,6 @@ def _require_nonempty_rows(moments: ColumnarMoments) -> None:
         raise EmptySketchError("columnar block holds an empty row")
 
 
-def _max_stable_orders(center_offsets: np.ndarray) -> np.ndarray:
-    """Vectorized Appendix-B Eq. (21) cap (see ``moments.max_stable_order``)."""
-    denom = 0.78 + np.log10(np.abs(center_offsets) + 1.0)
-    return np.minimum(np.floor(13.35 / denom), 16).astype(int)
-
-
 def _cheap_order_caps_rows(moments: ColumnarMoments, rows: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Usable moment orders from the closed-form Appendix-B caps only.
@@ -115,7 +109,7 @@ def _cheap_order_caps_rows(moments: ColumnarMoments, rows: np.ndarray
         with np.errstate(divide="ignore", invalid="ignore"):
             offsets = np.where(nondegenerate, centers / halves, 0.0)
         k1 = np.where(nondegenerate,
-                      np.minimum(moments.k, _max_stable_orders(offsets)), k1)
+                      np.minimum(moments.k, max_stable_orders(offsets)), k1)
     usable = moments.usable_log()[rows] & nondegenerate
     if usable.any():
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -126,7 +120,7 @@ def _cheap_order_caps_rows(moments: ColumnarMoments, rows: np.ndarray
                 log_ok, (0.5 * (log_hi + log_lo)) / (0.5 * (log_hi - log_lo)),
                 0.0)
         k2 = np.where(log_ok,
-                      np.minimum(moments.k, _max_stable_orders(log_offsets)),
+                      np.minimum(moments.k, max_stable_orders(log_offsets)),
                       k2)
     return np.maximum(k1, 1), k2
 
@@ -333,16 +327,6 @@ def _rtt_cdf_bounds(moments: np.ndarray, point: float) -> tuple[float, float]:
     return below / total, min(1.0, (below + at) / total)
 
 
-def _stable_orders_rows(scaled: np.ndarray, tolerance: float = 1.0
-                        ) -> np.ndarray:
-    """Row-wise ``moments.stable_order_empirical`` over scaled-moment rows."""
-    limit = 1.0 + 1e-9 if tolerance == 1.0 else tolerance
-    violation = ~np.isfinite(scaled) | (np.abs(scaled) > limit)
-    any_violation = violation.any(axis=1)
-    first = np.argmax(violation, axis=1)
-    return np.where(any_violation, first - 1, scaled.shape[1] - 1)
-
-
 def _shifted_scaled_rows(mu: np.ndarray, centers: np.ndarray,
                          halves: np.ndarray) -> np.ndarray:
     """Row-wise ``moments.shifted_scaled_moments`` with per-row supports."""
@@ -371,7 +355,7 @@ def _rtt_family_rows(sums: np.ndarray, counts: np.ndarray, orders: np.ndarray,
         centers = 0.5 * (highs[group] + lows[group])
         halves = 0.5 * (highs[group] - lows[group])
         scaled = _shifted_scaled_rows(mu, centers, halves)
-        usable = np.maximum(_stable_orders_rows(scaled), 1) + 1
+        usable = np.maximum(stable_orders_rows(scaled), 1) + 1
         scaled_points = (points[group] - centers) / halves
         for position, row in enumerate(group):
             prefix = _odd_prefix(scaled[position, : usable[position]])

@@ -184,31 +184,6 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
     return weights
 
 
-def eval_chebyshev_series_stacked(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise Clenshaw: series ``p`` has coefficients ``coeffs[p]``.
-
-    ``coeffs`` is ``(P, L)``, ``u`` is ``(G,)`` (shared across rows); the
-    result is ``(P, G)`` with row ``p`` equal — bit for bit — to
-    ``eval_chebyshev_series(coeffs[p], u)``.  Rows whose series are
-    shorter than ``L`` must be padded with *trailing* zeros: Clenshaw
-    iterates from the highest coefficient down, and a zero coefficient
-    leaves the recurrence state untouched exactly, so zero padding
-    changes nothing (the batched CDF tabulation depends on this).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if coeffs.ndim != 2:
-        raise ValueError("coeffs must be a (P, L) matrix")
-    if coeffs.shape[1] == 0:
-        return np.zeros((coeffs.shape[0],) + u.shape)
-    b_next = np.zeros((coeffs.shape[0],) + u.shape)
-    b_cur = np.zeros_like(b_next)
-    column = (slice(None),) + (None,) * u.ndim
-    for j in range(coeffs.shape[1] - 1, 0, -1):
-        b_cur, b_next = 2.0 * u * b_cur - b_next + coeffs[:, j][column], b_cur
-    return u * b_cur - b_next + coeffs[:, 0][column]
-
-
 def multiply_series(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two Chebyshev series, in the Chebyshev basis.
 

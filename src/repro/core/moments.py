@@ -119,8 +119,9 @@ def shifted_moments(mu: np.ndarray, shift) -> np.ndarray:
     bit-for-bit identical regardless of which other rows share the batch
     — the property the vectorized cascade bounds are gated on.  (The
     scalar bound entry points delegate to the batched kernels, so the
-    1-D fast path below is only reached by the solver's per-problem
-    target computation.)
+    1-D fast path below serves the one-row conversions such as
+    :func:`power_sums_to_chebyshev_moments`;
+    :func:`scaled_moment_rows` rounds the same way row by row.)
     """
     mu = np.asarray(mu, dtype=float)
     size = mu.shape[-1]
@@ -197,6 +198,47 @@ def power_sums_to_chebyshev_moments(
     return chebyshev_moments(shifted_scaled_moments(raw_moments(power_sums, count), support))
 
 
+def scaled_moment_rows(sums: np.ndarray, counts: np.ndarray,
+                       lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Row-wise ``shifted_scaled_moments(raw_moments(...))``.
+
+    Row ``p`` holds the moments of ``u`` for the power sums ``sums[p]`` of
+    ``counts[p]`` values on the support ``[lows[p], highs[p]]``; a
+    degenerate support gives the point ``u = 0``.  The binomial shift is
+    one matrix-vector product per row, as in :func:`shifted_moments` on
+    one row (numpy's stacked matmul runs the same kernel slice by slice),
+    so the shift's cancellation rounds the same way and a row does not
+    depend on the other rows.
+    """
+    size = sums.shape[1]
+    mu = sums / np.asarray(counts, dtype=float)[:, None]
+    mu[:, 0] = 1.0
+    halves = 0.5 * (highs - lows)
+    pascal, exponent_index = _shift_structure(size)
+    with np.errstate(all="ignore"):
+        powers = (-0.5 * (highs + lows))[:, None] ** np.arange(size)
+        # C order whatever the row count, so every row takes the same
+        # matmul kernel.
+        shift = np.ascontiguousarray(pascal * powers[:, exponent_index])
+        scaled = np.matmul(shift, mu[:, :, None])[:, :, 0]
+        scaled /= halves[:, None] ** np.arange(size, dtype=float)
+    scaled[:, 0] = 1.0
+    scaled[~(halves > 0), 1:] = 0.0
+    return scaled
+
+
+def chebyshev_moment_rows(sums: np.ndarray, counts: np.ndarray,
+                          lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`power_sums_to_chebyshev_moments`.
+
+    Takes the arguments of :func:`scaled_moment_rows`; the Chebyshev map
+    is one matrix-vector product per row, as on one row.
+    """
+    table = _cached_coefficient_table(sums.shape[1] - 1)
+    scaled = scaled_moment_rows(sums, counts, lows, highs)
+    return np.matmul(table, scaled[:, :, None])[:, :, 0]
+
+
 def shift_error_bound(order: int, center_offset: float,
                       relative_error: float = POWER_SUM_RELATIVE_ERROR) -> float:
     """Appendix-B bound on the absolute error of the k-th shifted moment.
@@ -222,6 +264,12 @@ def max_stable_order(center_offset: float) -> int:
     return int(min(np.floor(13.35 / denom), 16))
 
 
+def max_stable_orders(center_offsets: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`max_stable_order`."""
+    denom = 0.78 + np.log10(np.abs(center_offsets) + 1.0)
+    return np.minimum(np.floor(13.35 / denom), 16).astype(int)
+
+
 def stable_order_empirical(scaled_mu: np.ndarray,
                            tolerance: float = 1.0) -> int:
     """Highest order whose shifted moment is numerically meaningful.
@@ -239,6 +287,16 @@ def stable_order_empirical(scaled_mu: np.ndarray,
         if not np.isfinite(scaled_mu[k]) or abs(scaled_mu[k]) > limit:
             return k - 1
     return scaled_mu.size - 1
+
+
+def stable_orders_rows(scaled: np.ndarray, tolerance: float = 1.0
+                       ) -> np.ndarray:
+    """Row-wise :func:`stable_order_empirical` over scaled-moment rows."""
+    limit = 1.0 + 1e-9 if tolerance == 1.0 else tolerance
+    violation = ~np.isfinite(scaled) | (np.abs(scaled) > limit)
+    any_violation = violation.any(axis=1)
+    first = np.argmax(violation, axis=1)
+    return np.where(any_violation, first - 1, scaled.shape[1] - 1)
 
 
 def uniform_chebyshev_moments(order: int) -> np.ndarray:

@@ -4,26 +4,29 @@ This is the user-facing entry point tying the pieces together:
 
 1. pick usable moment counts (``selector``),
 2. solve for the maximum entropy density (``solver``),
-3. integrate the density into a CDF (Chebyshev antiderivative, closed form)
-   and invert it with Brent's method — the paper's estimation recipe
-   ("numeric integration and the Brent's method for root finding").
+3. re-interpolate the density on a fine Chebyshev grid and integrate it
+   into a CDF in closed form (Chebyshev antiderivative), then tabulate the
+   CDF and invert the table.  :meth:`QuantileEstimator.quantile_brent`
+   keeps the paper's recipe ("numeric integration and the Brent's method
+   for root finding") for verification.
 
-The result object keeps the solved density around so callers (the cascade,
-the bound evaluation, tests) can interrogate the CDF without re-solving.
+Steps 1 and 3 run on the same stacked kernels as the batched estimator
+(:func:`repro.core.batch_solver.fit_estimators`): a single fit is their
+one-row case.  The result object keeps the solved density around so
+callers (the cascade, the bound evaluation, tests) can interrogate the CDF
+without re-solving.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 from scipy.optimize import brentq
 
-from .chebyshev import (
-    antiderivative_series,
-    eval_chebyshev_series,
-    interpolation_coefficients,
-)
+from .chebyshev import chebyshev_nodes, eval_chebyshev_series
 from .errors import ConvergenceError, EstimationError
 from .selector import MomentSelection, select_moments
 from .sketch import MomentsSketch
@@ -31,20 +34,23 @@ from .solver import (
     MaxEntBasis,
     MaxEntResult,
     SolverConfig,
-    _basis_matrix_on,
+    _basis_matrices_stacked,
     build_basis,
-    chebyshev_nodes,
     solve,
 )
+
+#: Fewest intervals of the Lobatto grid a CDF is tabulated on.
+_MIN_TABLE_INTERVALS = 2048
 
 
 @dataclass
 class QuantileEstimator:
     """Solved maximum-entropy model for one sketch.
 
-    Construction runs the full solve (about a millisecond of numpy work for
-    k = 10); afterwards ``quantile`` / ``cdf`` / ``pdf`` calls are cheap
-    Chebyshev-series evaluations.
+    Construction runs the full fit (moment selection, Newton solve and CDF
+    build: 1-2 ms for k = 10 on one core of a shared 2-vCPU x86 host);
+    afterwards ``quantiles`` is a table lookup and ``cdf`` a Chebyshev
+    series evaluation.
     """
 
     sketch: MomentsSketch
@@ -106,12 +112,10 @@ class QuantileEstimator:
                     k2 -= 1
                 if k1 + k2 == 0:
                     raise
-        coeffs, offset, scale = cls._build_cdf(basis, result, config)
-        estimator = cls(sketch=sketch, basis=basis, result=result, selection=selection,
-                        _cdf_coeffs=coeffs, _cdf_offset=offset, _cdf_scale=scale,
-                        _grid_u=np.zeros(0), _grid_cdf=np.zeros(0))
-        estimator._tabulate()
-        return estimator
+        (cdf,) = _cdf_tables([basis], [result.theta], config)
+        if cdf is None:
+            raise EstimationError("solved density integrates to zero")
+        return cls(sketch, basis, result, selection, *cdf)
 
     @classmethod
     def _point_mass(cls, sketch: MomentsSketch, config: SolverConfig) -> "QuantileEstimator":
@@ -127,52 +131,6 @@ class QuantileEstimator:
         estimator._grid_u = np.zeros(0)
         estimator._grid_cdf = np.zeros(0)
         return estimator
-
-    def _tabulate(self) -> None:
-        """Dense monotone CDF table for fast vectorized inversion.
-
-        The Chebyshev antiderivative is evaluated once on a uniform grid of
-        the integration domain; quantiles then invert the table by linear
-        interpolation, which is accurate to O(grid step squared) in rank —
-        far below solver error — while avoiding a scalar root find per
-        query.  :meth:`quantile_brent` retains the paper's exact Brent
-        formulation for verification.
-        """
-        grid = np.linspace(-1.0, 1.0, max(4 * len(self._cdf_coeffs), 2049))
-        values = self.cdf_scaled(grid)
-        values = np.maximum.accumulate(values)
-        self._grid_u = grid
-        self._grid_cdf = values
-
-    @staticmethod
-    def _build_cdf(basis: MaxEntBasis, result: MaxEntResult,
-                   config: SolverConfig) -> tuple[np.ndarray, float, float]:
-        """Chebyshev antiderivative of the solved density on a fine grid.
-
-        The density is re-interpolated on ``cdf_grid_size`` Lobatto nodes
-        (finer than the solve grid) so the CDF inherits interpolation-level
-        accuracy, then integrated in closed form.  Returns coefficients plus
-        the affine normalization mapping raw antiderivative values onto
-        [0, 1].
-        """
-        nodes = chebyshev_nodes(config.cdf_grid_size)
-        matrix = _basis_matrix_on(basis, nodes)
-        density = result.density_on(nodes, matrix=matrix)
-        coeffs = interpolation_coefficients(density)
-        # The density is smooth (an exponential of ~k basis functions), so
-        # its interpolation coefficients decay fast; everything below the
-        # relative noise floor is float dust whose only effect would be to
-        # slow every later series evaluation by an order of magnitude.
-        floor = float(np.max(np.abs(coeffs))) * 1e-14
-        significant = np.nonzero(np.abs(coeffs) > floor)[0]
-        if significant.size:
-            coeffs = coeffs[: significant[-1] + 1]
-        anti = antiderivative_series(coeffs)
-        lo = float(eval_chebyshev_series(anti, np.asarray(-1.0)))
-        hi = float(eval_chebyshev_series(anti, np.asarray(1.0)))
-        if not hi > lo:
-            raise EstimationError("solved density integrates to zero")
-        return anti, lo, hi - lo
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -207,9 +165,13 @@ class QuantileEstimator:
         return float(self.quantiles(np.asarray([phi]))[0])
 
     def quantiles(self, phis: np.ndarray) -> np.ndarray:
-        """Vectorized quantiles via inverse interpolation of the CDF table."""
+        """Vectorized quantiles via inverse interpolation of the CDF table.
+
+        Raises :class:`EstimationError` for fractions outside [0, 1],
+        NaN included.
+        """
         phis = np.asarray(phis, dtype=float)
-        if np.any((phis < 0.0) | (phis > 1.0)):
+        if not np.all((phis >= 0.0) & (phis <= 1.0)):
             raise EstimationError("phi values must be in [0, 1]")
         if self.is_point_mass:
             return np.full(phis.shape, self.sketch.min)
@@ -259,6 +221,100 @@ class QuantileEstimator:
             assert self.basis.log_support is not None
             return np.exp(self.basis.log_support.unscale(u))
         return self.basis.support.unscale(u)
+
+
+def _cdf_tables(bases: list, thetas: list, config: SolverConfig) -> list:
+    """CDF series and monotone CDF table of each solved density, stacked.
+
+    For every row: the density on ``cdf_grid_size`` Lobatto nodes (finer
+    than the solve grid, so the CDF inherits interpolation-level accuracy),
+    its Chebyshev coefficients by one DCT-I, the float dust below the row's
+    relative noise floor trimmed, the antiderivative in closed form, and
+    its ends from ``T_k(1) = 1`` and ``T_k(-1) = (-1)^k``.  The table
+    evaluates the antiderivative on a Lobatto grid of at least
+    ``max(2048, 4 * len)`` intervals (a power of two) with one more DCT-I.
+
+    Returns ``(coeffs, offset, scale, grid_u, grid_cdf)`` per row, the
+    :class:`QuantileEstimator` CDF fields, or ``None`` where the density
+    integrates to zero.  Every step is element-wise, a reduction along the
+    row, or a DCT along the row, so a row's output is the same whichever
+    batch it is built in.
+    """
+    out: list = [None] * len(bases)
+    nodes = chebyshev_nodes(config.cdf_grid_size)
+    shapes: dict[tuple, list[int]] = {}
+    for index, basis in enumerate(bases):
+        shapes.setdefault((basis.k1, basis.k2, basis.domain), []).append(index)
+    for members in shapes.values():
+        matrices = _basis_matrices_stacked([bases[i] for i in members], nodes)
+        theta = np.stack([thetas[i] for i in members])
+        density = np.exp(np.matmul(theta[:, None, :], matrices)[:, 0, :])
+        coeffs = dct(density, type=1, axis=-1) / config.cdf_grid_size
+        coeffs[:, 0] *= 0.5
+        coeffs[:, -1] *= 0.5
+        # The density is smooth (an exponential of ~k basis functions), so
+        # its coefficients decay fast; everything below the relative noise
+        # floor is float dust whose only effect would be to lengthen every
+        # later series evaluation.  A row with nothing significant keeps
+        # its full length.
+        full = coeffs.shape[1]
+        above = np.abs(coeffs) > (np.abs(coeffs).max(axis=1) * 1e-14)[:, None]
+        last = np.where(above.any(axis=1),
+                        full - 1 - np.argmax(above[:, ::-1], axis=1), full - 1)
+        coeffs[np.arange(full)[None, :] > last[:, None]] = 0.0
+        # Antiderivative (chebyshev.antiderivative_series, row-wise):
+        # b_1 = a_0 - a_2 / 2, b_k = (a_{k-1} - a_{k+1}) / (2k).
+        padded = np.zeros((len(members), full + 2))
+        padded[:, :full] = coeffs
+        anti = np.zeros((len(members), full + 1))
+        anti[:, 1] = padded[:, 0] - padded[:, 2] / 2.0
+        anti[:, 2:] = ((padded[:, 1:full] - padded[:, 3:full + 2])
+                       / (2.0 * np.arange(2, full + 1)))
+        lengths = last + 2
+        anti[np.arange(full + 1)[None, :] >= lengths[:, None]] = 0.0
+        hi = anti.sum(axis=1)
+        lo = (anti * _alternating_signs(full + 1)).sum(axis=1)
+        scale = hi - lo
+        tables: dict[int, list[int]] = {}
+        for row, length in enumerate(lengths):
+            if hi[row] > lo[row]:
+                intervals = 1 << max(4 * int(length) - 1,
+                                     _MIN_TABLE_INTERVALS - 1).bit_length()
+                tables.setdefault(intervals, []).append(row)
+        for intervals, rows in tables.items():
+            # DCT-I: y_j = x_0 + (-1)^j x_N + 2 sum_k x_k cos(pi j k / N).
+            # With x_0 = b_0 and x_k = (-1)^k b_k / 2 that is F at
+            # -cos(pi j / N): the CDF on the ascending Lobatto grid.
+            width = int(lengths[rows].max())
+            halved = 0.5 * _alternating_signs(width)
+            halved[0] = 1.0
+            series = np.zeros((len(rows), intervals + 1))
+            series[:, :width] = anti[rows, :width] * halved
+            raw = dct(series, type=1, axis=-1)
+            values = np.clip((raw - lo[rows, None]) / scale[rows, None],
+                             0.0, 1.0)
+            values = np.maximum.accumulate(values, axis=1)
+            grid = _ascending_nodes(intervals)
+            for position, row in enumerate(rows):
+                out[members[row]] = (anti[row, :lengths[row]].copy(),
+                                     float(lo[row]), float(scale[row]),
+                                     grid, values[position].copy())
+    return out
+
+
+def _alternating_signs(size: int) -> np.ndarray:
+    """``(-1)^k`` for k < size: the Chebyshev polynomials at u = -1."""
+    signs = np.ones(size)
+    signs[1::2] = -1.0
+    return signs
+
+
+@functools.lru_cache(maxsize=8)
+def _ascending_nodes(intervals: int) -> np.ndarray:
+    """The Lobatto nodes ``-cos(pi j / N)``, ascending from -1 to 1."""
+    nodes = -chebyshev_nodes(intervals)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def estimate_quantiles(sketch: MomentsSketch, phis, config: SolverConfig | None = None,

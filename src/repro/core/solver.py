@@ -21,7 +21,16 @@ Implementation choices mirroring Section 4.3:
   interpolant exactly), with the same cost profile: one cosine-transform-
   sized evaluation per iteration rather than O(k^2) adaptive integrals.
 * **Damped Newton with backtracking line search** and a ridge fallback when
-  the Hessian solve fails, matching the reference solver's safeguards.
+  the Hessian solve fails, matching the reference solver's safeguards.  A
+  step must pass the Armijo test *and* strictly lower the dual potential.
+  Near the optimum the Armijo slack falls below the potential's rounding,
+  and a shortened step that merely ties the potential barely moves theta;
+  accepting such ties lets a problem whose gradient sits just above the
+  tolerance ride the iteration cap at ~28 probes per iteration.  The one
+  tie accepted is the full Newton step, which near the optimum is the
+  quadratically convergent step the potential can no longer resolve.  A
+  search that finds no acceptable step is a stall, settled by the relaxed
+  tolerance or a :class:`ConvergenceError`.
 * **Integration domain selection**: for long-tailed positive data the solver
   integrates in the scaled-log domain (the ``h(x) = e^x`` variant of
   Appendix A) so every basis function stays smooth; otherwise in the scaled
@@ -34,12 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebyshev import chebyshev_nodes, clenshaw_curtis_weights, eval_chebyshev
+from .chebyshev import chebyshev_nodes, clenshaw_curtis_weights
 from .errors import ConvergenceError, SketchError
-from .moments import (
-    ScaledSupport,
-    power_sums_to_chebyshev_moments,
-)
+from .moments import ScaledSupport, chebyshev_moment_rows
 from .sketch import MomentsSketch
 
 #: Ratio max/min beyond which positive data is considered long-tailed and
@@ -154,72 +160,29 @@ def build_basis(sketch: MomentsSketch, k1: int, k2: int,
     ``k1`` standard and ``k2`` log moments are used (Section 4.2's
     "Optimization" paragraph); ``k2`` is forced to zero when the sketch has
     no usable log moments.  ``domain`` overrides the automatic integration
-    variable choice, which the lesion-study estimators use.
+    variable choice, which the lesion-study estimators use.  The one-sketch
+    case of :func:`build_bases_batch`.
+    """
+    return build_bases_batch([sketch], [k1], [k2], config, domain=domain)[0]
+
+
+def build_bases_batch(sketches, k1s, k2s, config: SolverConfig | None = None,
+                      domain: str | None = None) -> list[MaxEntBasis]:
+    """:func:`build_basis` for many sketches, stacked.
+
+    Validation and domain choice run per sketch; the target moments run
+    once per moment family and order, and the basis-function evaluation
+    once per distinct ``(k1, k2, domain)`` shape, each over stacked rows,
+    so a basis does not depend on its batch-mates.
     """
     config = config or SolverConfig()
-    sketch.require_nonempty()
-    if k2 > 0 and not sketch.has_log_moments:
-        k2 = 0
-    if k1 < 0 or k2 < 0 or k1 + k2 == 0:
-        raise SketchError(f"invalid moment counts k1={k1}, k2={k2}")
-    if max(k1, k2) > sketch.k:
-        raise SketchError(f"requested order exceeds sketch order {sketch.k}")
-
-    support = ScaledSupport(sketch.min, sketch.max)
-    log_support = None
-    if sketch.has_log_moments:
-        log_support = ScaledSupport(float(np.log(sketch.min)), float(np.log(sketch.max)))
-
-    if domain is None:
-        domain = choose_domain(sketch, k2)
-    if domain == "log" and log_support is None:
-        raise SketchError("log-domain integration requires positive data")
-
-    # Target Chebyshev moments (domain independent: expectations over x).
-    d_std = np.zeros(0)
-    d_log = np.zeros(0)
-    if k1 > 0:
-        d_std = power_sums_to_chebyshev_moments(
-            sketch.power_sums[: k1 + 1], sketch.count, support)
-    if k2 > 0:
-        assert log_support is not None
-        d_log = power_sums_to_chebyshev_moments(
-            sketch.log_sums[: k2 + 1], sketch.count, log_support)
-
-    nodes = chebyshev_nodes(config.grid_size)
-    weights = clenshaw_curtis_weights(config.grid_size)
-
-    basis = MaxEntBasis(
-        k1=k1, k2=k2, domain=domain, support=support, log_support=log_support,
-        nodes=nodes, weights=weights, matrix=np.zeros((0, 0)),
-        targets=np.zeros(0), std_moments=d_std, log_moments=d_log,
-    )
-    basis.matrix = _basis_matrix_on(basis, nodes)
-    targets = np.ones(basis.size)
-    if k1 > 0:
-        targets[1:1 + k1] = d_std[1:]
-    if k2 > 0:
-        targets[1 + k1:] = d_log[1:]
-    basis.targets = targets
-    return basis
-
-
-def build_bases_batch(sketches, k1s, k2s,
-                      config: SolverConfig | None = None) -> list[MaxEntBasis]:
-    """:func:`build_basis` for many sketches, stacking matrix evaluation.
-
-    Per-sketch validation, domain choice, and target moments replicate
-    the scalar path exactly; the basis-function evaluation — the O(k^2)
-    Chebyshev recurrences that dominate scalar construction — runs once
-    per distinct ``(k1, k2, domain)`` shape over stacked ``(P, grid)``
-    argument arrays.  Every returned basis is bit-for-bit what
-    ``build_basis`` produces for the same sketch.
-    """
-    config = config or SolverConfig()
+    sketches = list(sketches)
     nodes = chebyshev_nodes(config.grid_size)
     weights = clenshaw_curtis_weights(config.grid_size)
     bases: list[MaxEntBasis] = []
-    groups: dict[tuple, list[int]] = {}
+    shapes: dict[tuple, list[int]] = {}
+    # (family, order) -> rows; family 0 standard, 1 log.
+    moment_rows: dict[tuple[int, int], list[int]] = {}
     for index, (sketch, k1, k2) in enumerate(zip(sketches, k1s, k2s)):
         sketch.require_nonempty()
         if k2 > 0 and not sketch.has_log_moments:
@@ -233,30 +196,37 @@ def build_bases_batch(sketches, k1s, k2s,
         if sketch.has_log_moments:
             log_support = ScaledSupport(float(np.log(sketch.min)),
                                         float(np.log(sketch.max)))
-        domain = choose_domain(sketch, k2)
-        d_std = np.zeros(0)
-        d_log = np.zeros(0)
-        if k1 > 0:
-            d_std = power_sums_to_chebyshev_moments(
-                sketch.power_sums[: k1 + 1], sketch.count, support)
-        if k2 > 0:
-            assert log_support is not None
-            d_log = power_sums_to_chebyshev_moments(
-                sketch.log_sums[: k2 + 1], sketch.count, log_support)
-        basis = MaxEntBasis(
-            k1=k1, k2=k2, domain=domain, support=support,
+        chosen = domain or choose_domain(sketch, k2)
+        if chosen == "log" and log_support is None:
+            raise SketchError("log-domain integration requires positive data")
+        bases.append(MaxEntBasis(
+            k1=k1, k2=k2, domain=chosen, support=support,
             log_support=log_support, nodes=nodes, weights=weights,
-            matrix=np.zeros((0, 0)), targets=np.zeros(0),
-            std_moments=d_std, log_moments=d_log)
-        targets = np.ones(basis.size)
-        if k1 > 0:
-            targets[1:1 + k1] = d_std[1:]
-        if k2 > 0:
-            targets[1 + k1:] = d_log[1:]
-        basis.targets = targets
-        bases.append(basis)
-        groups.setdefault((k1, k2, domain), []).append(index)
-    for indices in groups.values():
+            matrix=np.zeros((0, 0)), targets=np.zeros(0)))
+        shapes.setdefault((k1, k2, chosen), []).append(index)
+        for family, order in ((0, k1), (1, k2)):
+            if order > 0:
+                moment_rows.setdefault((family, order), []).append(index)
+    # Target Chebyshev moments (domain independent: expectations over x).
+    for (family, order), members in moment_rows.items():
+        supports = [bases[i].log_support if family else bases[i].support
+                    for i in members]
+        moments = chebyshev_moment_rows(
+            np.stack([(sketches[i].log_sums if family
+                       else sketches[i].power_sums)[:order + 1]
+                      for i in members]),
+            np.array([sketches[i].count for i in members]),
+            np.array([s.lo for s in supports]),
+            np.array([s.hi for s in supports]))
+        for i, row in zip(members, moments):
+            if family:
+                bases[i].log_moments = row
+            else:
+                bases[i].std_moments = row
+    for basis in bases:
+        basis.targets = np.concatenate(
+            [[1.0], basis.std_moments[1:], basis.log_moments[1:]])
+    for indices in shapes.values():
         stacked = _basis_matrices_stacked([bases[i] for i in indices], nodes)
         for position, index in enumerate(indices):
             bases[index].matrix = stacked[position]
@@ -266,9 +236,14 @@ def build_bases_batch(sketches, k1s, k2s,
 def _basis_matrices_stacked(bases: list, u: np.ndarray) -> np.ndarray:
     """Basis matrices of same-shape bases on grid ``u``, stacked ``(P, m, G)``.
 
-    All bases must share ``(k1, k2, domain)``.  Every operation is
-    element-wise over the stacked rows, so row ``p`` equals — bit for
-    bit — ``_basis_matrix_on(bases[p], u)``.
+    All bases must share ``(k1, k2, domain)``.  In the linear domain the
+    standard basis is ``T_i(u)`` and the log basis
+    ``T_j(s2(log(s1^{-1}(u))))``; in the log domain the roles swap.  Both
+    mixed-basis arguments are clipped to [-1, 1]: the analytic map lands
+    inside by construction and only float slop can poke outside (and the
+    linear-domain ``x`` is clamped to the support edge, because
+    ``unscale(-1)`` can round below it).  Every operation is element-wise
+    over the stacked rows, so a row does not depend on its batch-mates.
     """
     first = bases[0]
     k1, k2, domain = first.k1, first.k2, first.domain
@@ -302,8 +277,7 @@ def _basis_matrices_stacked(bases: list, u: np.ndarray) -> np.ndarray:
             std_arg = np.clip((x - centers[:, None]) / halves[:, None],
                               -1.0, 1.0)
     # One chained recurrence per argument family: T_k = 2u T_{k-1} - T_{k-2}
-    # yields every order in O(k) passes with values bit-identical to the
-    # per-order eval_chebyshev restarts (same operations, same order).
+    # yields every order in O(k) passes.
     _chebyshev_rows_into(out, std_arg, offset=0, orders=k1)
     _chebyshev_rows_into(out, log_arg, offset=k1, orders=k2)
     return out
@@ -315,46 +289,18 @@ def _chebyshev_rows_into(out: np.ndarray, arg: np.ndarray | None,
     if orders <= 0:
         return
     assert arg is not None
-    out[:, offset + 1, :] = arg
+    rows = [out[:, 0, :]]  # T_0 of every family is the shared constant row
+    rows.extend(out[:, offset + 1:offset + orders + 1, :].swapaxes(0, 1))
+    rows[1][...] = arg
+    twice = 2.0 * arg
     for order in range(2, orders + 1):
-        # T_0 of every family is the shared constant row 0.
-        prev2 = (out[:, 0, :] if order == 2
-                 else out[:, offset + order - 2, :])
-        out[:, offset + order, :] = (2.0 * arg * out[:, offset + order - 1, :]
-                                     - prev2)
+        np.multiply(twice, rows[order - 1], out=rows[order])
+        rows[order] -= rows[order - 2]
 
 
 def _basis_matrix_on(basis: MaxEntBasis, u: np.ndarray) -> np.ndarray:
-    """Evaluate every basis function at integration-domain positions ``u``.
-
-    In the linear domain the standard basis is ``T_i(u)`` and the log basis
-    ``T_j(s2(log(s1^{-1}(u))))``; in the log domain the roles swap.  Both
-    mixed-basis arguments are clipped to [-1, 1]: the analytic map lands
-    inside by construction and only float slop can poke outside.
-    """
-    u = np.asarray(u, dtype=float)
-    rows = [np.ones_like(u)]
-    if basis.domain == "linear":
-        std_arg = u
-        log_arg = None
-        if basis.k2 > 0:
-            # Log moments are only usable for positive data, so xmin > 0 here;
-            # clamp to the support edge because unscale(-1) can round below it.
-            assert basis.log_support is not None
-            x = np.maximum(basis.support.unscale(u), basis.support.lo)
-            log_arg = np.clip(basis.log_support.scale(np.log(x)), -1.0, 1.0)
-    else:
-        assert basis.log_support is not None
-        log_arg = u
-        std_arg = None
-        if basis.k1 > 0:
-            x = np.exp(basis.log_support.unscale(u))
-            std_arg = np.clip(basis.support.scale(x), -1.0, 1.0)
-    for i in range(1, basis.k1 + 1):
-        rows.append(eval_chebyshev(i, std_arg))
-    for j in range(1, basis.k2 + 1):
-        rows.append(eval_chebyshev(j, log_arg))
-    return np.asarray(rows)
+    """Every basis function of ``basis`` at integration-domain positions ``u``."""
+    return _basis_matrices_stacked([basis], u)[0]
 
 
 def dual_potential(theta: np.ndarray, B: np.ndarray, w: np.ndarray,
@@ -430,7 +376,9 @@ def solve(basis: MaxEntBasis, config: SolverConfig | None = None,
         for _ in range(config.max_line_search_steps):
             candidate = theta - alpha * step
             cvalue = potential(candidate)
-            if np.isfinite(cvalue) and cvalue <= lvalue - 1e-4 * alpha * slope:
+            lowers = cvalue < lvalue or (alpha == 1.0 and cvalue == lvalue)
+            if (np.isfinite(cvalue) and lowers
+                    and cvalue <= lvalue - 1e-4 * alpha * slope):
                 theta = candidate
                 lvalue = cvalue
                 break

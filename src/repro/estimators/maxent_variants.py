@@ -22,11 +22,9 @@ from scipy.integrate import quad_vec
 from scipy.optimize import minimize
 
 from ..core.errors import ConvergenceError, EstimationError
-from ..core.quantile import QuantileEstimator
+from ..core.quantile import QuantileEstimator, _cdf_tables
 from ..core.sketch import MomentsSketch
 from ..core.solver import SolverConfig, _basis_matrix_on, build_basis
-from ..core.chebyshev import antiderivative_series, eval_chebyshev_series, interpolation_coefficients
-from ..core.solver import chebyshev_nodes
 from .base import MomentEstimator, MomentProblem
 
 
@@ -83,17 +81,11 @@ class _DualSolverEstimator(MomentEstimator):
 
     def _quantiles_from_theta(self, basis, theta: np.ndarray,
                               problem: MomentProblem, phis: np.ndarray) -> np.ndarray:
-        nodes = chebyshev_nodes(self.config.cdf_grid_size)
-        matrix = _basis_matrix_on(basis, nodes)
-        density = np.exp(theta @ matrix)
-        coeffs = interpolation_coefficients(density)
-        anti = antiderivative_series(coeffs)
-        grid = np.linspace(-1.0, 1.0, 2049)
-        raw = eval_chebyshev_series(anti, grid)
-        cdf = (raw - raw[0]) / max(raw[-1] - raw[0], 1e-300)
-        cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-        u = np.interp(phis, cdf, grid)
-        return problem.to_data_units(u)
+        (cdf,) = _cdf_tables([basis], [theta], self.config)
+        if cdf is None:
+            raise EstimationError("solved density integrates to zero")
+        *_, grid, table = cdf
+        return problem.to_data_units(np.interp(phis, table, grid))
 
 
 class NaiveNewtonEstimator(_DualSolverEstimator):

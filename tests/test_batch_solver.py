@@ -4,8 +4,9 @@ The layer's contract, asserted here:
 
 * batched quantile estimates match the scalar path within 1e-6 relative
   (on this stack they agree far tighter);
-* moment selection is bit-identical between the scalar greedy search and
-  the frontier-batched search;
+* moment selection, bases and CDF tables are built by one set of stacked
+  kernels, and a row's output is bit-identical alone or in a batch;
+* no Newton problem of the group-solve gate rides the iteration cap;
 * a problem's batched result is independent of its batch-mates (masks,
   compaction, and tabulation bucketing never couple problems);
 * stragglers (near-discrete cells) fall back to the scalar solver and
@@ -18,7 +19,9 @@ The layer's contract, asserted here:
   references (scalar fits, brackets and per-cell cascades).
 """
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +34,12 @@ from repro.core.bounds import (markov_bound, markov_bound_batch, rtt_bound,
                                rtt_bound_batch)
 from repro.core.cascade import ThresholdCascade
 from repro.core.errors import ConvergenceError
+from repro.core.quantile import _cdf_tables
 from repro.core.selector import select_moments, select_moments_batch
 from repro.core.solver import build_bases_batch, solve
 
 CONFIG = SolverConfig()
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_fits.json"
 QS = np.array([0.01, 0.1, 0.5, 0.9, 0.99])
 
 
@@ -149,6 +154,76 @@ class TestFitEstimators:
                 scalar = safe_estimate_quantiles(sketch, QS, config=CONFIG)
             np.testing.assert_allclose(batched[row], scalar,
                                        rtol=1e-6, atol=1e-9)
+
+
+def golden_sketches(count=None):
+    cases = json.loads(GOLDEN.read_text())["cases"][:count]
+    return [MomentsSketch.from_bytes(bytes.fromhex(case["sketch"]))
+            for case in cases]
+
+
+class TestStackedBases:
+    def test_basis_identical_alone_and_in_batch(self):
+        # Targets come from a cancellation-prone binomial shift (the
+        # offset-exponential cases lose ~7 digits), so a row whose
+        # rounding depended on its batch-mates would show here.
+        sketches = golden_sketches()
+        selections = select_moments_batch(sketches, CONFIG)
+        k1s = [s.k1 for s in selections]
+        k2s = [s.k2 for s in selections]
+        batch = build_bases_batch(sketches, k1s, k2s, CONFIG)
+        for sketch, k1, k2, basis in zip(sketches, k1s, k2s, batch):
+            alone = build_bases_batch([sketch], [k1], [k2], CONFIG)[0]
+            assert np.array_equal(alone.targets, basis.targets)
+            assert np.array_equal(alone.matrix, basis.matrix)
+            assert alone.domain == basis.domain
+
+
+class TestSharedCdfBuild:
+    def test_row_identical_alone_and_in_mixed_batch(self):
+        # 32 fixture sketches: linear and log domains, several basis
+        # shapes and two table sizes (one series needs a finer table).
+        sketches = golden_sketches(32)
+        estimators, errors, _ = fit_estimators(sketches, CONFIG)
+        assert all(error is None for error in errors)
+        assert len({e._grid_u.size for e in estimators}) > 1
+        assert len({(e.basis.k1, e.basis.k2, e.basis.domain)
+                    for e in estimators}) > 2
+        for batched in estimators:
+            (alone,) = _cdf_tables([batched.basis], [batched.result.theta],
+                                   CONFIG)
+            coeffs, offset, scale, grid_u, grid_cdf = alone
+            assert offset == batched._cdf_offset
+            assert scale == batched._cdf_scale
+            assert np.array_equal(grid_cdf, batched._grid_cdf)
+            assert np.array_equal(grid_u, batched._grid_u)
+            assert np.array_equal(coeffs, batched._cdf_coeffs)
+
+    def test_table_ends_and_monotone(self):
+        estimator = fit_estimators(make_sketches(seed=16, count=1), CONFIG)[0][0]
+        assert estimator._grid_u[0] == -1.0 and estimator._grid_u[-1] == 1.0
+        assert np.all(np.diff(estimator._grid_u) > 0)
+        assert np.all(np.diff(estimator._grid_cdf) >= 0)
+        assert abs(estimator._grid_cdf[0]) < 1e-12
+        assert abs(estimator._grid_cdf[-1] - 1.0) < 1e-12
+
+
+class TestNewtonStall:
+    def test_group_solve_gate_cells_settle_quickly(self):
+        # The 1024 seed-0 cells of benchmarks/bench_group_solve.py.  One
+        # of them ends at |grad| ~2.2e-9, just above the tolerance, where
+        # accepting shortened steps that only tie the dual potential let
+        # it ride the 200-iteration cap.
+        from repro.workload import build_packed_cells
+        data = np.random.default_rng(0).lognormal(1.0, 1.0, 1024 * 200)
+        sketches = build_packed_cells(data, cell_size=200, k=10).store.sketches()
+        selections = select_moments_batch(sketches, CONFIG)
+        bases = build_bases_batch(sketches, [s.k1 for s in selections],
+                                  [s.k2 for s in selections], CONFIG)
+        outcome = solve_batch(bases, CONFIG)
+        assert outcome.batched == len(bases)
+        assert max(r.iterations for r in outcome.results) <= 30
+        assert max(solve(b, CONFIG).iterations for b in bases) <= 30
 
 
 class TestBatchedBounds:

@@ -102,6 +102,27 @@ class TestChebyshevMoments:
         assert result[0] == pytest.approx(1.0)
 
 
+class TestMomentRows:
+    def test_rows_equal_one_row_pipeline_bit_for_bit(self):
+        # Offset data loses ~7 digits in the binomial shift, so a row that
+        # rounded differently from the one-row pipeline would show.
+        rng = np.random.default_rng(5)
+        datasets = [rng.normal(0, 1, 500), 163.0 + rng.exponential(2.0, 900),
+                    rng.lognormal(1, 1, 300), np.full(40, 7.5)]
+        sums = np.stack([[np.sum(d ** i) for i in range(9)] for d in datasets])
+        counts = np.array([d.size for d in datasets])
+        lows = np.array([d.min() for d in datasets])
+        highs = np.array([d.max() for d in datasets])
+        rows = mo.chebyshev_moment_rows(sums, counts, lows, highs)
+        for row, d in enumerate(datasets):
+            support = mo.ScaledSupport(float(d.min()), float(d.max()))
+            one = mo.power_sums_to_chebyshev_moments(sums[row], d.size, support)
+            assert np.array_equal(rows[row], one)
+            alone = mo.chebyshev_moment_rows(sums[row:row + 1], counts[row:row + 1],
+                                             lows[row:row + 1], highs[row:row + 1])
+            assert np.array_equal(alone[0], one)
+
+
 class TestStability:
     def test_shift_error_bound_grows_with_order_and_offset(self):
         assert (mo.shift_error_bound(4, 0.0)

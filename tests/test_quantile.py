@@ -104,6 +104,28 @@ class TestEstimatorObject:
         with pytest.raises(EstimationError):
             estimator.quantiles(np.asarray([-0.1]))
 
+    @pytest.mark.parametrize("phis", [[np.nan, 0.5], [0.5, np.nan], [np.nan]])
+    def test_nan_fractions_rejected(self, phis):
+        sketch = MomentsSketch.from_data(np.linspace(0, 1, 1000), k=4)
+        estimator = QuantileEstimator.fit(sketch)
+        with pytest.raises(EstimationError):
+            estimator.quantiles(np.asarray(phis))
+        with pytest.raises(EstimationError):
+            estimate_quantiles(sketch, phis)
+        point_mass = QuantileEstimator.fit(
+            MomentsSketch.from_data(np.full(10, 2.0), k=4))
+        with pytest.raises(EstimationError):
+            point_mass.quantiles(np.asarray(phis))
+
+    def test_nan_fraction_rejected_by_scalar_entry_points(self):
+        sketch = MomentsSketch.from_data(np.linspace(0, 1, 1000), k=4)
+        estimator = QuantileEstimator.fit(sketch)
+        for call in (lambda: estimator.quantile(np.nan),
+                     lambda: estimator.quantile_brent(np.nan),
+                     lambda: estimate_quantile(sketch, np.nan)):
+            with pytest.raises(EstimationError):
+                call()
+
     def test_phi_endpoints_return_extrema(self):
         data = np.linspace(3.0, 9.0, 5000)
         estimator = QuantileEstimator.fit(MomentsSketch.from_data(data, k=6))
