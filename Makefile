@@ -13,16 +13,16 @@
 # enabled-mode tracing + metrics <= 10% of query latency), a
 # multi-query-optimizer gate (>=3x on a Zipf-skewed repeated workload
 # with interleaved flushes, payloads bit-identical to cold execution),
-# and a workload-harness smoke (cube + cluster, sqlite exact oracle,
-# optimizer enabled) that fails on any Eq. 1 rank-error contract
-# violation.
+# and a 3-second run of each repository benchmark workload
+# (`bench/run.py`) that fails unless the command exits 0 and its last
+# line reports `"correct": true` (every answer within the Eq. 1
+# rank-error bound) and `"failed": 0`.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint bench-merge bench-batch bench-cluster bench-ingest \
-	bench-solve bench-tiered bench-telemetry bench-optimizer \
-	bench-harness bench
+	bench-solve bench-tiered bench-telemetry bench-optimizer bench
 
 # Static analysis gate: the repo-invariant analyzers (lock discipline,
 # determinism, telemetry guards, API hygiene) against the committed
@@ -48,8 +48,9 @@ test:
 	$(PYTHON) benchmarks/bench_tiered.py --quick
 	$(PYTHON) benchmarks/bench_telemetry.py --quick
 	$(PYTHON) benchmarks/bench_optimizer.py --quick
-	$(PYTHON) -m repro.cli harness run --spec examples/harness_smoke.json \
-		--out BENCH_harness.json --check
+	out=$$($(PYTHON) bench/run.py --seconds 3) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "bench: incorrect answers or failed operations")'
 
 bench-merge:
 	$(PYTHON) benchmarks/bench_batch_merge.py --require-speedup 10
@@ -74,11 +75,6 @@ bench-telemetry:
 
 bench-optimizer:
 	$(PYTHON) benchmarks/bench_optimizer.py --advice-out advisor.json
-
-# Full workload-harness experiment (longer than the smoke in `test`):
-# the paced 10-second mixed cube-vs-cluster run from the examples.
-bench-harness:
-	$(PYTHON) examples/harness_experiment.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -19,7 +19,7 @@ every call into the data plane (``TELEMETRY.tracer``,
     re-establishes the guard later.
 
   Control-plane calls (``TELEMETRY.enable()``, ``disable()``,
-  ``snapshot()``) are exempt: they are exactly the calls that must work
+  ``reset()``) are exempt: they are exactly the calls that must work
   while disabled.  Nested functions inherit alias facts but not
   dominance — a closure defined under a guard may run later, when
   telemetry has been toggled.

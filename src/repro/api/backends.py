@@ -14,8 +14,8 @@ repository: :class:`CubeBackend` (:class:`~repro.datacube.DataCube`),
 :class:`PackedStoreBackend` (:class:`~repro.store.PackedSketchStore`),
 and :class:`WindowBackend` (pre-aggregated panes, which additionally
 answers ``windowed`` alert queries).  :class:`SummariesBackend` covers
-any plain sequence of mergeable summaries (the workload harness's object
-cells).  All adapters reuse the engines' own merge code paths, so
+any plain sequence of mergeable summaries (e.g. the object cells of
+:mod:`repro.workload`).  All adapters reuse the engines' own merge code paths, so
 results routed through the API are identical — bit-for-bit on moments —
 to the legacy per-engine entry points.
 
@@ -117,8 +117,8 @@ class Backend(abc.ABC):
     def cache_target(self):
         """The engine object whose flush epoch invalidates this backend.
 
-        Adapters are cheap wrappers that may be rebuilt per query (the
-        harness re-registers them after every flush), so the optimizer's
+        Adapters are cheap wrappers that may be rebuilt per query (a
+        caller may re-register them after every flush), so the optimizer's
         caches key on the long-lived engine underneath, not the adapter.
         Subclasses wrapping an inner engine must override this.
         """
@@ -297,8 +297,7 @@ class PackedStoreBackend(Backend):
 
     ``keys`` (optional) maps each row to its dimension tuple, enabling
     filters and group-bys; ``dimensions`` names the tuple positions.
-    ``rows`` restricts the backend to a row subset (the workload
-    harness's ``num_cells`` knob).
+    ``rows`` restricts the backend to a row subset.
     """
 
     name = "packed"

@@ -312,8 +312,8 @@ class QueryTimings:
     many solver/bound invocations that was, ``1`` for a batched group
     solve regardless of group count.  Every :class:`~repro.api.service
     .QueryService` route fills both, so observability layers (the
-    workload harness) can rely on them; they are omitted from JSON only
-    when zero/empty (hand-built instances).
+    benchmark's ``api.solve_calls_per_query``) can rely on them; they
+    are omitted from JSON only when zero/empty (hand-built instances).
     """
 
     planner_seconds: float = 0.0

@@ -11,7 +11,6 @@ jobs around an analytics engine:
     python -m repro sketch bounds total.msk --t 100
     python -m repro sketch info total.msk
     python -m repro ingest rows.csv --spec '{"backend": "cube", "dimensions": ["service"]}' --query '{"kind": "quantile", "quantiles": [0.99]}'
-    python -m repro harness run --spec examples/harness_smoke.json
     python -m repro datasets list
     python -m repro datasets stats milan --rows 100000
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .api import QueryService, QuerySpec, SummariesBackend, qkey
 from .core import (ConvergenceError, IngestError, MomentsSketch,
-                   QuantileEstimator, QueryError, merge_all)
+                   QuantileEstimator, QueryError, TelemetryError, merge_all)
 from .datasets import available, load, spec, summary_statistics
 from .summaries.moments_summary import MomentsSummary
 
@@ -260,91 +259,8 @@ def cmd_ingest(args: argparse.Namespace) -> dict:
     return result
 
 
-def cmd_harness_run(args: argparse.Namespace) -> dict:
-    """Run one workload-harness experiment and emit its trajectory record.
-
-    ``--spec`` takes an :class:`~repro.harness.ExperimentSpec` JSON
-    document or a path to one; the record is appended to the
-    ``--out`` trajectory file (``BENCH_harness.json``) unless
-    ``--no-out`` is given.  With ``--check`` (the default), any exact-
-    oracle ε-contract violation fails the command after the record is
-    written — the CI smoke gate.
-
-    ``--telemetry`` enables the in-process telemetry plane for the run
-    (the record gains a ``telemetry`` block); ``--telemetry-out DIR``
-    additionally dumps ``metrics.json``, ``metrics.prom``,
-    ``spans.jsonl``, and ``slow_queries.json`` into ``DIR``.
-    """
-    from .harness import DEFAULT_TRAJECTORY, ExperimentSpec, run_experiment
-
-    text = args.spec
-    if not text.lstrip().startswith("{"):
-        text = Path(text).read_text(encoding="utf-8")
-    spec = ExperimentSpec.from_json(text)
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration_seconds"] = args.duration
-    if args.qps is not None:
-        overrides["target_qps"] = args.qps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        spec = ExperimentSpec.from_dict({**spec.to_dict(), **overrides})
-    out = None if args.no_out else (args.out or DEFAULT_TRAJECTORY)
-    telemetry_on = args.telemetry or args.telemetry_out is not None
-    if telemetry_on:
-        from .telemetry import TELEMETRY
-
-        TELEMETRY.enable(
-            slow_query_threshold_seconds=args.slow_query_threshold,
-            reset=True)
-    try:
-        record = run_experiment(spec, trajectory_path=out,
-                                fail_on_violation=args.check)
-    finally:
-        if telemetry_on and args.telemetry_out is not None:
-            record_telemetry = _write_telemetry_artifacts(args.telemetry_out)
-        if telemetry_on:
-            TELEMETRY.disable()
-    if out:
-        record = dict(record, trajectory=str(out))
-    if telemetry_on and args.telemetry_out is not None:
-        record = dict(record, telemetry_out=record_telemetry)
-    return record
-
-
-def _write_telemetry_artifacts(directory) -> dict:  # repro: noqa[TEL001]
-    """Dump the live telemetry plane into ``directory``; returns paths.
-
-    Callers invoke this only when telemetry is enabled (an explicit
-    ``--telemetry-out`` opt-in), hence the function-level TEL001 escape.
-    """
-    from .telemetry import TELEMETRY, render_json, render_prometheus
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    metrics_json = directory / "metrics.json"
-    metrics_json.write_text(render_json(TELEMETRY.registry) + "\n",
-                            encoding="utf-8")
-    metrics_prom = directory / "metrics.prom"
-    metrics_prom.write_text(render_prometheus(TELEMETRY.registry),
-                            encoding="utf-8")
-    spans_path = directory / "spans.jsonl"
-    spans_exported = TELEMETRY.tracer.export_jsonl(str(spans_path))
-    slow_entries = TELEMETRY.slow_queries.entries()
-    slow_path = directory / "slow_queries.json"
-    slow_path.write_text(
-        json.dumps(slow_entries, indent=2, default=float) + "\n",
-        encoding="utf-8")
-    return {"directory": str(directory),
-            "files": [metrics_json.name, metrics_prom.name,
-                      spans_path.name, slow_path.name],
-            "spans_exported": spans_exported,
-            "slow_queries": len(slow_entries)}
-
-
 def cmd_telemetry_dump(args: argparse.Namespace) -> dict:
-    """Re-render a metrics dump (or harness record) as JSON/Prometheus."""
+    """Re-render a metrics dump as JSON or Prometheus text."""
     from .telemetry import load_metrics, render_prometheus
 
     payload = load_metrics(args.metrics)
@@ -391,7 +307,7 @@ def cmd_telemetry_trace(args: argparse.Namespace) -> dict:
             if line:
                 spans.append(json.loads(line))
     if not spans:
-        return {"error": "no spans in file", "spans": 0}
+        raise TelemetryError(f"no spans in {args.spans}")
     trace_id = args.trace_id
     if trace_id is None:
         # Default to the trace owning the longest root span — the
@@ -402,12 +318,30 @@ def cmd_telemetry_trace(args: argparse.Namespace) -> dict:
         trace_id = pick["trace_id"]
     selected = [s for s in spans if s["trace_id"] == trace_id]
     if not selected:
-        return {"error": f"trace {trace_id!r} not found",
-                "traces": sorted({s['trace_id'] for s in spans})}
+        traces = len({s["trace_id"] for s in spans})
+        raise TelemetryError(
+            f"trace {trace_id!r} not found among the {traces} traces "
+            f"in {args.spans}")
     roots = build_trace_tree(selected)
     print("\n".join(render_trace_tree(selected)))
     return {"trace_id": trace_id, "spans": len(selected),
             "roots": len(roots)}
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: a count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _unit_float(text: str) -> float:
+    """argparse type: a quantile in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
 
 
 def _load_json_document(path: str) -> dict:
@@ -418,67 +352,31 @@ def _load_json_document(path: str) -> dict:
     return payload
 
 
-def _latest_run(payload: dict, key: str | None = None) -> dict | None:
-    """Latest run of a harness trajectory (optionally carrying ``key``)."""
-    runs = payload.get("runs")
-    if not isinstance(runs, list):
-        return None
-    for run in reversed(runs):
-        if isinstance(run, dict) and (key is None or key in run):
-            return run
-    return None
-
-
 def cmd_optimizer_advise(args: argparse.Namespace) -> dict:
-    """Offline roll-up / caching advice from a harness or telemetry dump.
+    """Offline roll-up / caching advice from a telemetry metrics dump.
 
-    Accepts a ``BENCH_harness.json`` trajectory (latest run wins), a
-    single harness record, or a telemetry ``metrics.json`` dump, and
-    ranks where a materialized roll-up or the optimizer cache would
-    reclaim the most merge time.
+    Reads the ``scan_signature_{hits,misses}_total`` counters of a
+    ``metrics.json`` dump and ranks the backends where the optimizer
+    cache or a materialized roll-up would reclaim the most scans.
     """
-    from .optimizer import rank_harness_record, rank_metrics
+    from .optimizer import rank_metrics
 
     payload = _load_json_document(args.source)
-    if "runs" in payload:
-        record = _latest_run(payload, "latency")
-        if record is None:
-            return {"source": args.source, "mode": "harness",
-                    "error": "trajectory has no runs with a latency section"}
-        advice = rank_harness_record(record, top=args.top)
-        return {"source": args.source, "mode": "harness",
-                "run_at": record.get("run_at"), "advice": advice}
-    if "latency" in payload:
-        return {"source": args.source, "mode": "harness",
-                "run_at": payload.get("run_at"),
-                "advice": rank_harness_record(payload, top=args.top)}
     if "counters" in payload or "metrics" in payload:
-        return {"source": args.source, "mode": "metrics",
+        return {"source": args.source,
                 "advice": rank_metrics(payload, top=args.top)}
     raise ValueError(
-        f"{args.source} is neither a harness trajectory/record "
-        "(latency) nor a telemetry metrics dump (counters)")
+        f"{args.source} is not a telemetry metrics dump (counters)")
 
 
 def cmd_optimizer_stats(args: argparse.Namespace) -> dict:
-    """Show the optimizer block of a harness record or stats snapshot."""
+    """Show an ``Optimizer.stats()`` dump (cache, profile, materialized)."""
     payload = _load_json_document(args.source)
-    if "runs" in payload:
-        record = _latest_run(payload, "optimizer")
-        if record is None:
-            return {"source": args.source,
-                    "error": "trajectory has no runs with an optimizer "
-                             "section (set spec.optimizer = true)"}
-        return {"source": args.source, "run_at": record.get("run_at"),
-                "optimizer": record["optimizer"]}
-    if "optimizer" in payload:
-        return {"source": args.source, "run_at": payload.get("run_at"),
-                "optimizer": payload["optimizer"]}
     if "cache" in payload and "profile" in payload:
         return {"source": args.source, "optimizer": payload}
     raise ValueError(
-        f"{args.source} carries no optimizer stats (expected a harness "
-        "record with an 'optimizer' section or an Optimizer.stats() dump)")
+        f"{args.source} carries no optimizer stats (expected an "
+        "Optimizer.stats() dump)")
 
 
 def cmd_storage_inspect(args: argparse.Namespace) -> dict:
@@ -802,44 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "low-precision cold codec afterwards")
     compact.set_defaults(handler=cmd_storage_compact)
 
-    harness = subcommands.add_parser(
-        "harness", help="production workload harness (repro.harness)")
-    harness_sub = harness.add_subparsers(dest="action", required=True)
-
-    harness_run = harness_sub.add_parser(
-        "run", help="replay one ExperimentSpec; emit a BENCH_harness.json "
-                    "trajectory record")
-    harness_run.add_argument("--spec", required=True,
-                             help="ExperimentSpec JSON document, or a path "
-                                  "to a JSON file")
-    harness_run.add_argument("--out", default=None,
-                             help="trajectory file to append to "
-                                  "(default BENCH_harness.json)")
-    harness_run.add_argument("--no-out", action="store_true",
-                             help="do not write a trajectory file")
-    harness_run.add_argument("--check", action=argparse.BooleanOptionalAction,
-                             default=True,
-                             help="fail on exact-oracle ε-contract "
-                                  "violations (--no-check records only)")
-    harness_run.add_argument("--duration", type=float, default=None,
-                             help="override spec duration_seconds")
-    harness_run.add_argument("--qps", type=float, default=None,
-                             help="override spec target_qps")
-    harness_run.add_argument("--seed", type=int, default=None,
-                             help="override spec seed")
-    harness_run.add_argument("--telemetry", action="store_true",
-                             help="enable the in-process telemetry plane; "
-                                  "the record gains a 'telemetry' block")
-    harness_run.add_argument("--slow-query-threshold", type=float,
-                             default=None, metavar="SECONDS",
-                             help="capture span trees for queries over this "
-                                  "latency (0 captures every query)")
-    harness_run.add_argument("--telemetry-out", default=None, metavar="DIR",
-                             help="dump metrics.json/metrics.prom/"
-                                  "spans.jsonl/slow_queries.json into DIR "
-                                  "(implies --telemetry)")
-    harness_run.set_defaults(handler=cmd_harness_run)
-
     telemetry = subcommands.add_parser(
         "telemetry", help="inspect telemetry dumps (repro.telemetry)")
     telemetry_sub = telemetry.add_subparsers(dest="action", required=True)
@@ -847,9 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     tele_dump = telemetry_sub.add_parser(
         "dump", help="re-render a metrics dump as JSON or Prometheus text")
     tele_dump.add_argument("metrics",
-                           help="metrics.json dump, harness telemetry "
-                                "snapshot, or BENCH_harness.json trajectory "
-                                "(latest run with telemetry wins)")
+                           help="metrics.json dump (render_json of a "
+                                "MetricsRegistry)")
     tele_dump.add_argument("--format", choices=("json", "prometheus"),
                            default="json")
     tele_dump.set_defaults(handler=cmd_telemetry_dump)
@@ -857,18 +716,18 @@ def build_parser() -> argparse.ArgumentParser:
     tele_top = telemetry_sub.add_parser(
         "top", help="rank latency histograms from a metrics dump")
     tele_top.add_argument("metrics", help="metrics dump (as for 'dump')")
-    tele_top.add_argument("--quantile", type=float, default=0.99,
+    tele_top.add_argument("--quantile", type=_unit_float, default=0.99,
                           help="ranking quantile (default p99)")
     tele_top.add_argument("--name", default=None,
                           help="only rank series of this histogram name "
                                "(e.g. query_seconds)")
-    tele_top.add_argument("--limit", type=int, default=10)
+    tele_top.add_argument("--limit", type=_positive_int, default=10)
     tele_top.set_defaults(handler=cmd_telemetry_top)
 
     tele_trace = telemetry_sub.add_parser(
         "trace", help="render one trace tree from a spans.jsonl export")
     tele_trace.add_argument("spans", help="spans.jsonl file "
-                                          "(see harness run --telemetry-out)")
+                                          "(Tracer.export_jsonl)")
     tele_trace.add_argument("--trace-id", default=None,
                             help="trace to render (default: the trace of "
                                  "the longest root span)")
@@ -879,22 +738,17 @@ def build_parser() -> argparse.ArgumentParser:
     optimizer_sub = optimizer.add_subparsers(dest="action", required=True)
 
     opt_advise = optimizer_sub.add_parser(
-        "advise", help="rank roll-up/caching opportunities from a harness "
-                       "trajectory or telemetry metrics dump")
-    opt_advise.add_argument("source",
-                            help="BENCH_harness.json trajectory, single "
-                                 "harness record, or metrics.json dump")
-    opt_advise.add_argument("--top", type=int, default=5,
+        "advise", help="rank roll-up/caching opportunities from a "
+                       "telemetry metrics dump")
+    opt_advise.add_argument("source", help="metrics.json dump")
+    opt_advise.add_argument("--top", type=_positive_int, default=5,
                             help="number of recommendations (default 5)")
     opt_advise.set_defaults(handler=cmd_optimizer_advise)
 
     opt_stats = optimizer_sub.add_parser(
-        "stats", help="show the optimizer cache/profile/materialized block "
-                      "of a harness record")
-    opt_stats.add_argument("source",
-                           help="BENCH_harness.json trajectory (latest run "
-                                "with an optimizer section), harness "
-                                "record, or Optimizer.stats() JSON")
+        "stats", help="show an Optimizer.stats() dump "
+                      "(cache/profile/materialized)")
+    opt_stats.add_argument("source", help="Optimizer.stats() JSON")
     opt_stats.set_defaults(handler=cmd_optimizer_stats)
 
     analysis = subcommands.add_parser(

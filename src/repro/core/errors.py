@@ -126,11 +126,9 @@ class AnalysisError(ReproError):
 
 
 class HarnessError(ReproError):
-    """Invalid workload-harness experiment spec or failed run contract.
+    """Invalid request to the exact oracle.
 
-    Raised by :mod:`repro.harness` for malformed
-    :class:`~repro.harness.ExperimentSpec` documents and — when a run is
-    executed with ``fail_on_violation`` — for exact-oracle ε-contract
-    violations, so CI treats an accuracy regression exactly like a test
-    failure.
+    Raised by :class:`~repro.harness.ExactOracle` for a batch whose cell
+    and value columns differ in length, and for a quantile or rank asked
+    of a cell that holds no rows.
     """

@@ -43,7 +43,7 @@ def generate_cells(num_cells: int = 4000, seed: int = 0,
     """Synthesize the variable-cell-size telemetry workload.
 
     ``mean_cell_size`` is scaled down from the paper's 2380 by default so
-    the harness runs quickly; pass a larger value to approach the original.
+    test workloads run quickly; pass a larger value to approach the original.
     Values are positive integers spanning ~5 decades (Figure 21 left).
     """
     rng = np.random.default_rng(seed)
@@ -79,8 +79,8 @@ def production_columns(num_cells: int, total_rows: int, seed: int = 0
     ``i`` is the i-th :class:`ProductionCell` (heavy-tailed sizes,
     heterogeneous long-tailed values), rows are shuffled into a single
     arrival stream, and the stream is tiled when the generated workload
-    is shorter than requested.  This is the workload harness's
-    production-shaped row source.
+    is shorter than requested.  This is the production-shaped row
+    source of the exact-oracle tests.
     """
     mean_size = max(total_rows / num_cells, 8.0)
     cells = generate_cells(num_cells=num_cells, seed=seed,

@@ -1,39 +1,13 @@
-"""Production workload harness: simulate, observe, and validate.
+"""Exact ground truth for grading sketch estimates.
 
-The harness closes the loop the point benchmarks leave open: it drives
-the whole system — ingest sessions and query service together, against
-any backend set — under a declarative, seeded, production-shaped load
-(:class:`ExperimentSpec`), measures it like an SLO dashboard would
-(P50/P95/P99 per query kind, throughput, solve/merge phase totals,
-CPU/RSS), grades every estimate against a stdlib-sqlite exact oracle
-under the paper's ε rank-error contract, and emits schema-versioned
-``BENCH_harness.json`` trajectory records so performance and accuracy
-are tracked over time.
-
-Quick start::
-
-    from repro.harness import ExperimentSpec, run_experiment
-    record = run_experiment(ExperimentSpec(
-        backends=("cube", "cluster"), duration_seconds=10.0,
-        target_qps=40.0), trajectory_path="BENCH_harness.json")
+:class:`ExactOracle` answers quantile and rank questions exactly over a
+stdlib-sqlite mirror of the ingested rows, so tests can grade every
+estimate with the paper's Eq. 1 rank error.  :func:`assign_cells` deals
+rows into Zipf-skewed cells (:func:`zipf_weights`) for those tests.
+The repository benchmark (``bench/``) is the end-to-end measurement.
 """
 
-from .metrics import LatencyAggregator, ResourceSampler, latency_summary
 from .oracle import ExactOracle
-from .report import (DEFAULT_TRAJECTORY, SCHEMA_VERSION, append_trajectory,
-                     load_trajectory)
-from .runner import run_experiment
-from .spec import BACKENDS, QUERY_KINDS, ExperimentSpec
-from .traffic import (Event, arrival_offsets, assign_cells,
-                      generate_schedule, zipf_weights)
+from .traffic import assign_cells, zipf_weights
 
-__all__ = [
-    "BACKENDS", "QUERY_KINDS", "ExperimentSpec",
-    "Event", "arrival_offsets", "assign_cells", "generate_schedule",
-    "zipf_weights",
-    "LatencyAggregator", "ResourceSampler", "latency_summary",
-    "ExactOracle",
-    "DEFAULT_TRAJECTORY", "SCHEMA_VERSION", "append_trajectory",
-    "load_trajectory",
-    "run_experiment",
-]
+__all__ = ["ExactOracle", "assign_cells", "zipf_weights"]

@@ -1,11 +1,11 @@
 """Exact-answer oracle: ground truth for every sketch estimate.
 
-The oracle mirrors each row the harness ingests into an in-memory
-stdlib :mod:`sqlite3` table, and answers the questions sketches only
+The oracle mirrors each ingested row into an in-memory stdlib
+:mod:`sqlite3` table, and answers the questions sketches only
 approximate — exact quantiles by ``ORDER BY ... LIMIT 1 OFFSET rank``,
-exact ranks by indexed ``COUNT`` — so every replayed query can be graded
-against the true answer on the *identical* data, including rows that
-arrived mid-run.
+exact ranks by indexed ``COUNT`` — so every query can be graded against
+the true answer on the *identical* data, including rows that arrived
+after earlier queries.
 
 The accuracy currency is the paper's Eq. 1 **rank error**: for an
 estimate ``x`` of quantile ``q`` over ``n`` rows,
@@ -14,9 +14,8 @@ estimate ``x`` of quantile ``q`` over ``n`` rows,
 
 i.e. zero whenever the target rank falls inside ``x``'s tie range, else
 the gap to the nearer edge, normalized by ``n``.  This is exactly the ε
-the moments sketch promises (ε-approximate quantiles), so the harness's
-contract check — ``rank_error <= spec.epsilon`` on every validated query
-— is the paper's own guarantee, enforced continuously.
+the moments sketch promises (ε-approximate quantiles), so checking
+``rank_error <= epsilon`` is the paper's own guarantee.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from ..core.errors import HarnessError
 
 
 class ExactOracle:
-    """Exact quantile/rank answers over the rows a run has ingested."""
+    """Exact quantile/rank answers over the rows ingested so far."""
 
     def __init__(self, dimension: str = "cell"):
         self.dimension = str(dimension)

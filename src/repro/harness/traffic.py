@@ -1,47 +1,13 @@
-"""Deterministic open-loop traffic generation for workload experiments.
+"""Zipf-skewed cell popularity for oracle-graded test workloads.
 
-The generator turns an :class:`~repro.harness.spec.ExperimentSpec` into
-a fully materialized event schedule *before* the run starts — the
-open-loop discipline: arrival times are decided by the workload model,
-never by how fast the system under test happens to respond, so a slow
-backend shows up as latency (and, under pacing, as schedule slip)
-rather than as silently reduced load.
-
-Everything is a pure function of the spec's seed:
-
-* **Arrivals** — exactly ``spec.num_events`` offsets in
-  ``[0, duration)``.  A ``1 - burstiness`` fraction arrive as a
-  Poisson-like process (sorted uniform draws, i.e. a Poisson process
-  conditioned on its count); the remaining fraction lands in short
-  Gaussian bursts around a handful of burst centers, which is what makes
-  P99 latencies diverge from P50 under load.
-* **Kinds** — each event is an ingest flush with probability
-  ``ingest_fraction``, otherwise a query kind drawn from the normalized
-  ``query_mix``.
-* **Cell targeting** — point queries hit cell ``i`` with Zipfian weight
-  ``(i + 1) ** -zipf_s``; lower-numbered cells are strictly hotter, the
-  skew every caching/sharding layer downstream has to survive.
+Cell ``i`` has Zipfian weight ``(i + 1) ** -s``: lower-numbered cells
+are strictly hotter, and the rows assigned to them make them the
+biggest, the production workload shape the paper evaluates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-#: Event kinds (``op`` narrows a query event to its QuerySpec kind).
-EVENT_KINDS = ("query", "ingest")
-
-
-@dataclass(frozen=True)
-class Event:
-    """One scheduled arrival in an open-loop replay."""
-
-    index: int
-    at: float        # arrival offset from the run start, seconds
-    kind: str        # "query" | "ingest"
-    op: str          # query kind, or "flush" for ingest events
-    cell: int | None = None  # Zipf-chosen target cell (point queries)
 
 
 def zipf_weights(cells: int, s: float) -> np.ndarray:
@@ -50,66 +16,13 @@ def zipf_weights(cells: int, s: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def arrival_offsets(num_events: int, duration: float, burstiness: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Sorted arrival offsets in ``[0, duration)`` with optional bursts.
-
-    ``burstiness`` is the fraction of events concentrated into bursts;
-    each burst is a Gaussian cluster whose width is ~0.5% of the run, so
-    a bursty schedule has the same total event count as a smooth one —
-    only the instantaneous rate differs.
-    """
-    n_burst = int(round(burstiness * num_events))
-    smooth = rng.uniform(0.0, duration, num_events - n_burst)
-    if n_burst:
-        n_centers = max(int(np.sqrt(n_burst) / 2), 1)
-        centers = rng.uniform(0.0, duration, n_centers)
-        where = rng.integers(0, n_centers, n_burst)
-        jitter = rng.normal(0.0, duration * 0.005, n_burst)
-        burst = np.clip(centers[where] + jitter, 0.0, np.nextafter(duration, 0.0))
-        offsets = np.concatenate([smooth, burst])
-    else:
-        offsets = smooth
-    offsets.sort()
-    return offsets
-
-
-def generate_schedule(spec) -> list[Event]:
-    """Materialize the full event schedule for one experiment.
-
-    Deterministic: the same spec (same seed) always yields the identical
-    list of events — the property the replay tests pin down.
-    """
-    rng = np.random.default_rng(spec.seed)
-    n = spec.num_events
-    offsets = arrival_offsets(n, spec.duration_seconds, spec.burstiness, rng)
-    is_ingest = rng.random(n) < spec.ingest_fraction
-    kinds, probabilities = spec.mix_weights()
-    ops = rng.choice(len(kinds), size=n, p=probabilities)
-    cell_ids = rng.choice(spec.cells, size=n,
-                          p=zipf_weights(spec.cells, spec.zipf_s))
-    events = []
-    for i in range(n):
-        if is_ingest[i]:
-            events.append(Event(index=i, at=float(offsets[i]),
-                                kind="ingest", op="flush"))
-        else:
-            op = kinds[ops[i]]
-            # Group kinds scan every cell; only point kinds target one.
-            cell = int(cell_ids[i]) if op == "quantile" else None
-            events.append(Event(index=i, at=float(offsets[i]),
-                                kind="query", op=op, cell=cell))
-    return events
-
-
 def assign_cells(n_rows: int, cells: int, s: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Zipf-skewed cell assignment for ingested rows.
 
     The first ``cells`` rows are dealt round-robin so every cell exists
     (group queries and the oracle need non-empty groups); the rest
-    follow the same popularity law as the query traffic, so hot cells
-    are also the biggest — the paper's production workload shape.
+    follow the Zipf popularity law, so hot cells are also the biggest.
     """
     cell_column = np.empty(n_rows, dtype=np.int64)
     head = min(cells, n_rows)

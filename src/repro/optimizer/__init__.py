@@ -21,7 +21,6 @@ __all__ = [
     "Optimizer",
     "RollupAdvisor",
     "WorkloadProfile",
-    "rank_harness_record",
     "rank_metrics",
 ]
 
@@ -30,7 +29,6 @@ _LAZY = {
     "MaterializedRollup": ("advisor", "MaterializedRollup"),
     "RollupAdvisor": ("advisor", "RollupAdvisor"),
     "WorkloadProfile": ("advisor", "WorkloadProfile"),
-    "rank_harness_record": ("advisor", "rank_harness_record"),
     "rank_metrics": ("advisor", "rank_metrics"),
 }
 

@@ -22,26 +22,21 @@ Three pieces:
   ``requests x avg merge seconds saved / packed bytes`` and pins the
   top-k with the owning :class:`~repro.optimizer.Optimizer`.
 
-:func:`rank_harness_record` / :func:`rank_metrics` are the offline
-halves (the ``repro optimizer advise`` CLI): they read harness
-trajectory records and telemetry metric dumps, which carry per-backend
-aggregates rather than per-signature profiles, and surface the backends
-and query kinds with the most merge time to reclaim.
+:func:`rank_metrics` is the offline half (the ``repro optimizer
+advise`` CLI): it reads a telemetry metrics dump, which carries
+per-backend scan-signature counters rather than per-signature profiles,
+and surfaces the backends with the most scans to reclaim.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..api.backends import GroupRollupResult, sketch_of
 from ..core.errors import OptimizerError
 from ..store import PackedSketchStore
 from ..summaries.moments_summary import MomentsSummary
-
-#: Query kinds whose scans are group roll-ups (materialization targets).
-GROUP_KINDS = ("group_by", "top_n", "threshold_count")
-
 
 @dataclass
 class ScanStats:
@@ -104,7 +99,7 @@ class WorkloadProfile:
             return list(self._scans.items())
 
     def summary(self) -> dict:
-        """JSON-safe aggregate (embedded in harness records)."""
+        """JSON-safe aggregate (embedded in ``Optimizer.stats()``)."""
         with self._lock:
             scans = list(self._scans.values())
         requests = 0
@@ -252,48 +247,6 @@ class RollupAdvisor:
 # ----------------------------------------------------------------------
 # Offline ranking (the `repro optimizer advise` CLI)
 # ----------------------------------------------------------------------
-
-def rank_harness_record(record: dict, top: int = 5) -> list[dict]:
-    """Advice from one harness trajectory record's latency section.
-
-    Harness records aggregate per (backend, kind), so the offline
-    ranking surfaces *where* a materialized roll-up or cache would pay:
-    group-shaped kinds weighted by request count and the backend's mean
-    merge share per query.
-    """
-    advice = []
-    latency = record.get("latency", {})
-    for backend_name in sorted(latency):
-        kinds = latency[backend_name]
-        phases = kinds.get("phase_totals", {})
-        query_count = 0
-        for kind in sorted(kinds):
-            if kind in ("ingest", "phase_totals"):
-                continue
-            query_count += int(kinds[kind].get("count", 0))
-        if not query_count:
-            continue
-        merge_per_query = (float(phases.get("merge_seconds", 0.0))
-                           / query_count)
-        for kind in sorted(kinds):
-            if kind in ("ingest", "phase_totals"):
-                continue
-            count = int(kinds[kind].get("count", 0))
-            if not count:
-                continue
-            advice.append({
-                "backend": backend_name,
-                "kind": kind,
-                "requests": count,
-                "est_merge_seconds_per_query": merge_per_query,
-                "est_merge_seconds_saved": count * merge_per_query,
-                "action": ("materialize group roll-up"
-                           if kind in GROUP_KINDS else "cache responses"),
-            })
-    advice.sort(key=lambda item: (-item["est_merge_seconds_saved"],
-                                  item["backend"], item["kind"]))
-    return advice[:top]
-
 
 def _metric_entries(metrics: dict, section: str, name: str) -> list[dict]:
     payload = metrics.get("metrics", metrics)

@@ -121,7 +121,7 @@ class MergeCache:
             return len(self._entries)
 
     def stats(self) -> dict:
-        """Counters snapshot (JSON-safe; the harness embeds it)."""
+        """Counters snapshot (JSON-safe; ``Optimizer.stats()`` embeds it)."""
         with self._lock:
             lookups = self.hits + self.misses
             return {"entries": len(self._entries),

@@ -11,7 +11,7 @@ so "engine state" has a natural clock: a monotonically increasing
 
 :data:`EPOCHS` is the process-wide clock.  Engines are identified by a
 stable integer *token* held alive by a weak reference, so adapters that
-are rebuilt per query (the harness re-registers backends after every
+are rebuilt per query (a caller may re-register backends after every
 flush) still share one epoch stream as long as they wrap the same
 underlying engine object.  Cluster coordinators additionally keep a
 **per-shard** epoch: replicated writes bump only the shards they

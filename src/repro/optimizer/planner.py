@@ -19,8 +19,8 @@ Everything stored is a cold path output kept verbatim — the optimizer
 never folds two partials together to answer a query, because numpy's
 pairwise reductions mean a re-associated fold is not guaranteed to be
 bit-identical to the sequential left-fold the cold path performs.  That
-single rule is what lets cached answers pass the harness's cross-backend
-payload-agreement and exact-oracle gates untouched.
+single rule is what lets cached answers pass the cross-backend
+bit-exactness and exact-oracle suites untouched.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class Optimizer:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """JSON-safe snapshot (harness records, ``repro optimizer stats``)."""
+        """JSON-safe snapshot (``repro optimizer stats`` reads a dump of it)."""
         with self._lock:
             rollups = list(self._materialized.values())
         return {"cache": self.cache.stats(),

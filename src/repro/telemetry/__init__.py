@@ -17,10 +17,10 @@ from .trace import (
 )
 from .slowlog import SlowQueryLog
 from .export import load_metrics, render_json, render_prometheus
-from .runtime import TELEMETRY, TelemetryRuntime, disable, enable, reset, snapshot
+from .runtime import TELEMETRY, TelemetryRuntime, disable, enable, reset
 
 __all__ = [
-    "TELEMETRY", "TelemetryRuntime", "enable", "disable", "reset", "snapshot",
+    "TELEMETRY", "TelemetryRuntime", "enable", "disable", "reset",
     "Tracer", "Span", "SpanContext", "build_trace_tree", "render_trace_tree",
     "MetricsRegistry", "Counter", "Gauge", "LogHistogram",
     "SlowQueryLog", "render_prometheus", "render_json", "load_metrics",

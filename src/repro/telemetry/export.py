@@ -1,9 +1,9 @@
 """Exposition: Prometheus text format and JSON renderers.
 
 Both renderers accept either a live :class:`MetricsRegistry` or the
-plain dict produced by ``MetricsRegistry.to_dict()`` (the form stored in
-``BENCH_harness.json`` records and ``--telemetry-out`` dumps), so the
-CLI can re-render dumps offline.
+plain dict produced by ``MetricsRegistry.to_dict()`` (the form
+``render_json`` writes to a ``metrics.json`` dump), so the CLI can
+re-render dumps offline.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import re
 from typing import Dict, Iterable, List, Mapping, Set, Tuple, Union
 
-from ..core.errors import TelemetryError
 from .metrics import LogHistogram, MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -86,19 +85,11 @@ def render_json(registry: Union[MetricsRegistry, Mapping], indent: int = 2) -> s
 def load_metrics(path: str) -> dict:
     """Load a metrics dump for offline rendering.
 
-    Accepts either a raw ``MetricsRegistry.to_dict()`` document, a
-    telemetry snapshot (``{"metrics": {...}}``), or a harness trajectory
-    (``{"runs": [...]}`` — uses the latest run carrying a snapshot).
+    Accepts either a raw ``MetricsRegistry.to_dict()`` document (what
+    ``render_json`` writes) or one wrapped as ``{"metrics": {...}}``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "runs" in doc:
-        for run in reversed(doc["runs"]):
-            snap = run.get("telemetry")
-            if snap and "metrics" in snap:
-                return snap["metrics"]
-        raise TelemetryError(
-            f"no run in {path} carries a telemetry snapshot")
     if "metrics" in doc and "counters" not in doc:
         return doc["metrics"]
     return doc

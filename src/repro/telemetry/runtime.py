@@ -58,16 +58,6 @@ class TelemetryRuntime:
         self.slow_queries.reset()
         return self
 
-    def snapshot(self) -> dict:
-        """Compact JSON-safe summary for embedding in harness records."""
-        return {
-            "enabled": self.enabled,
-            "metrics": self.registry.to_dict(),
-            "spans_recorded": self.tracer.spans_recorded,
-            "spans_dropped": self.tracer.spans_dropped,
-            "slow_queries_captured": self.slow_queries.captured,
-        }
-
 
 TELEMETRY = TelemetryRuntime()
 
@@ -82,7 +72,3 @@ def disable() -> TelemetryRuntime:
 
 def reset() -> TelemetryRuntime:
     return TELEMETRY.reset()
-
-
-def snapshot() -> dict:
-    return TELEMETRY.snapshot()

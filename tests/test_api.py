@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.api import (Backend, QueryResponse, QueryService, QuerySpec,
-                       SummariesBackend, WindowSpec, as_backend, execute, plan,
-                       qkey)
+                       QueryTimings, SummariesBackend, WindowSpec, as_backend,
+                       execute, plan, qkey)
 from repro.core.errors import QueryError
 from repro.core.params import normalize_q
 from repro.datacube import CubeSchema, DataCube
@@ -507,3 +507,68 @@ class TestResponseRoundTrip:
         assert all(isinstance(key, str) for key in payload["groups"])
         again = QueryResponse.from_dict(payload)
         assert again.to_dict() == payload
+
+
+class TestQueryTimingsAlwaysFilled:
+    """Satellite regression: every QueryService route fills the solve
+    accounting — ``solve_calls`` and ``solve_route`` — not just the
+    batched group paths."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        rng = np.random.default_rng(7)
+        values = rng.lognormal(1.0, 1.0, 4000)
+        cells = np.arange(values.size) // 200
+        cube = DataCube(CubeSchema(("cell",)),
+                        lambda: MomentsSummary(k=10))
+        cube.ingest([cells], values)
+        panes = build_panes(values, pane_size=200, k=10)
+        return QueryService(cube=cube, window=panes), float(
+            np.quantile(values, 0.9))
+
+    def test_every_kind_reports_solve_route(self, service):
+        service_obj, t = service
+        specs = {
+            "quantile": QuerySpec(kind="quantile", quantiles=(0.5, 0.99)),
+            "cdf": QuerySpec(kind="cdf", thresholds=(t, t * 2)),
+            "group_by": QuerySpec(kind="group_by", quantiles=(0.5,),
+                                  group_dimension="cell"),
+            "top_n": QuerySpec(kind="top_n", quantiles=(0.9,),
+                               group_dimension="cell", n=3),
+            "threshold_count": QuerySpec(kind="threshold_count",
+                                         quantiles=(0.9,), thresholds=(t,),
+                                         group_dimension="cell"),
+        }
+        for kind, spec in specs.items():
+            response = service_obj.execute(spec, backend="cube")
+            timings = response.timings
+            assert timings.solve_route, kind
+            assert timings.solve_calls > 0, kind
+
+    def test_scalar_quantile_route(self, service):
+        service_obj, _ = service
+        response = service_obj.execute(
+            QuerySpec(kind="quantile", quantiles=(0.5,)), backend="cube")
+        assert response.timings.solve_route == "scalar"
+        assert response.timings.solve_calls == 1
+
+    def test_cdf_bounds_route(self, service):
+        service_obj, t = service
+        response = service_obj.execute(
+            QuerySpec(kind="cdf", thresholds=(t, t * 2, t * 3)),
+            backend="cube")
+        assert response.timings.solve_route == "bounds"
+        assert response.timings.solve_calls == 3
+
+    def test_windowed_route(self, service):
+        service_obj, t = service
+        response = service_obj.execute(
+            QuerySpec(kind="windowed", quantiles=(0.99,), thresholds=(t,),
+                      window=WindowSpec(window_panes=4)), backend="window")
+        assert response.timings.solve_route == "window"
+        assert response.timings.solve_calls >= 1
+
+    def test_timings_default_is_explicitly_unset(self):
+        # The harness's in-loop check relies on the default being falsy.
+        assert not QueryTimings().solve_route
+        assert QueryTimings().solve_calls == 0

@@ -1,48 +1,14 @@
-"""Property tests for the harness traffic generator.
+"""Tests for the Zipf cell popularity behind the exact-oracle suites.
 
-The open-loop schedule is the experiment's identity: these tests pin
-down that it is a pure function of the spec (same seed ⇒ identical
-events), that the Zipf skew knob actually orders cell hit frequencies,
-and that the arrival envelope matches the requested QPS × duration.
+``assign_cells`` deals rows into cells for ``tests/test_exact_oracle.py``:
+every cell must exist, and the hot (low-numbered) cells must be the
+biggest, the skew ``zipf_weights`` promises.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
 
-from repro.harness import ExperimentSpec, generate_schedule, zipf_weights
-from repro.harness.traffic import arrival_offsets, assign_cells
-
-
-def _spec(**overrides) -> ExperimentSpec:
-    base = dict(rows=100, cells=16, duration_seconds=10.0, target_qps=50.0,
-                seed=3)
-    base.update(overrides)
-    return ExperimentSpec(**base)
-
-
-class TestDeterminism:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1),
-           burstiness=st.floats(0.0, 0.9),
-           zipf_s=st.floats(0.0, 3.0),
-           ingest_fraction=st.floats(0.0, 0.8))
-    def test_same_seed_identical_schedule(self, seed, burstiness, zipf_s,
-                                          ingest_fraction):
-        spec = _spec(seed=seed, burstiness=burstiness, zipf_s=zipf_s,
-                     ingest_fraction=ingest_fraction)
-        assert generate_schedule(spec) == generate_schedule(spec)
-
-    def test_different_seeds_differ(self):
-        a = generate_schedule(_spec(seed=1))
-        b = generate_schedule(_spec(seed=2))
-        assert a != b
-
-    def test_events_are_time_ordered_and_indexed(self):
-        events = generate_schedule(_spec())
-        offsets = [event.at for event in events]
-        assert offsets == sorted(offsets)
-        assert [event.index for event in events] == list(range(len(events)))
-        assert all(0.0 <= event.at < 10.0 for event in events)
+from repro.harness import zipf_weights
+from repro.harness.traffic import assign_cells
 
 
 class TestZipfSkew:
@@ -53,67 +19,6 @@ class TestZipfSkew:
 
     def test_zero_skew_is_uniform(self):
         np.testing.assert_allclose(zipf_weights(10, 0.0), np.full(10, 0.1))
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), s=st.floats(0.8, 2.5))
-    def test_skew_orders_cell_hit_frequencies(self, seed, s):
-        spec = _spec(seed=seed, zipf_s=s, cells=8, target_qps=300.0,
-                     ingest_fraction=0.0,
-                     query_mix=(("quantile", 1.0),))
-        hits = np.zeros(spec.cells)
-        for event in generate_schedule(spec):
-            hits[event.cell] += 1
-        # Rank 0 is strictly hottest and the hot half dominates the
-        # cold half — the ordering the skew parameter promises.
-        assert hits[0] == hits.max()
-        assert hits[: spec.cells // 2].sum() > hits[spec.cells // 2:].sum()
-
-    def test_larger_s_concentrates_more(self):
-        def top_share(s):
-            spec = _spec(zipf_s=s, cells=16, target_qps=500.0,
-                         ingest_fraction=0.0, query_mix=(("quantile", 1.0),))
-            hits = np.zeros(spec.cells)
-            for event in generate_schedule(spec):
-                hits[event.cell] += 1
-            return hits[0] / hits.sum()
-
-        assert top_share(2.0) > top_share(0.5)
-
-
-class TestArrivalEnvelope:
-    @settings(max_examples=25, deadline=None)
-    @given(qps=st.floats(1.0, 500.0), duration=st.floats(0.5, 30.0),
-           burstiness=st.floats(0.0, 0.9), seed=st.integers(0, 2**31 - 1))
-    def test_count_matches_qps_times_duration(self, qps, duration,
-                                              burstiness, seed):
-        spec = _spec(target_qps=qps, duration_seconds=duration,
-                     burstiness=burstiness, seed=seed)
-        events = generate_schedule(spec)
-        # Conditioned arrivals: the count is exact, not just in tolerance.
-        assert len(events) == max(int(round(qps * duration)), 1)
-        assert all(0.0 <= event.at < duration for event in events)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_burstiness_raises_peak_rate(self, seed):
-        rng_a = np.random.default_rng(seed)
-        rng_b = np.random.default_rng(seed)
-        smooth = arrival_offsets(2000, 10.0, 0.0, rng_a)
-        bursty = arrival_offsets(2000, 10.0, 0.8, rng_b)
-
-        def peak_bin(offsets):
-            counts, _ = np.histogram(offsets, bins=100, range=(0.0, 10.0))
-            return counts.max()
-
-        assert peak_bin(bursty) > peak_bin(smooth)
-
-    def test_ingest_fraction_splits_kinds(self):
-        spec = _spec(ingest_fraction=0.3, target_qps=300.0)
-        events = generate_schedule(spec)
-        ingest = sum(1 for event in events if event.kind == "ingest")
-        assert 0.2 < ingest / len(events) < 0.4
-        assert all(event.op == "flush" for event in events
-                   if event.kind == "ingest")
 
 
 class TestCellAssignment:

@@ -22,8 +22,7 @@ from repro.core.errors import QueryError
 from repro.datacube import CubeSchema, DataCube
 from repro.druid import MomentsSketchAggregator
 from repro.ingest import IngestSession
-from repro.optimizer import (EPOCHS, MergeCache, Optimizer,
-                             rank_harness_record, rank_metrics)
+from repro.optimizer import EPOCHS, MergeCache, Optimizer, rank_metrics
 from repro.summaries.moments_summary import MomentsSummary
 
 K = 8
@@ -399,31 +398,15 @@ class TestRollupAdvisor:
 
 
 class TestOfflineAdvice:
-    RECORD = {
-        "run_at": "2026-08-08T00:00:00+00:00",
-        "latency": {"cube": {
-            "quantile": {"count": 10},
-            "group_by": {"count": 6},
-            "phase_totals": {"merge_seconds": 0.4},
-        }},
-    }
-
-    def test_rank_harness_record_weights_by_merge_share(self):
-        advice = rank_harness_record(self.RECORD)
-        assert [item["kind"] for item in advice] == ["quantile", "group_by"]
-        assert advice[0]["action"] == "cache responses"
-        assert advice[1]["action"] == "materialize group roll-up"
-        assert advice[0]["est_merge_seconds_saved"] == \
-            pytest.approx(10 * 0.4 / 16)
+    METRICS = {"counters": [
+        {"name": "scan_signature_hits_total",
+         "labels": {"backend": "cube", "route": "response"}, "value": 7},
+        {"name": "scan_signature_misses_total",
+         "labels": {"backend": "cube", "route": "cold"}, "value": 3},
+    ]}
 
     def test_rank_metrics_reads_scan_signature_counters(self):
-        metrics = {"counters": [
-            {"name": "scan_signature_hits_total",
-             "labels": {"backend": "cube", "route": "response"}, "value": 7},
-            {"name": "scan_signature_misses_total",
-             "labels": {"backend": "cube", "route": "cold"}, "value": 3},
-        ]}
-        advice = rank_metrics(metrics)
+        advice = rank_metrics(self.METRICS)
         assert advice[0]["backend"] == "cube"
         assert advice[0]["hit_rate"] == pytest.approx(0.7)
         assert "enable the optimizer" in advice[0]["action"]
@@ -431,23 +414,25 @@ class TestOfflineAdvice:
     def test_cli_advise_and_stats(self, tmp_path, capsys):
         from repro.cli import main
 
-        trajectory = {"schema": "repro.harness/1",
-                      "runs": [dict(self.RECORD,
-                                    optimizer={"cache": {"hits": 3},
-                                               "profile": {},
-                                               "materialized": []})]}
-        path = tmp_path / "BENCH_harness.json"
-        path.write_text(json.dumps(trajectory), encoding="utf-8")
-
-        assert main(["optimizer", "advise", str(path)]) == 0
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps(self.METRICS), encoding="utf-8")
+        assert main(["optimizer", "advise", str(metrics)]) == 0
         advice = json.loads(capsys.readouterr().out)
-        assert advice["mode"] == "harness"
         assert advice["advice"][0]["backend"] == "cube"
+        assert advice["advice"][0]["shared_or_cached"] == 7
 
-        assert main(["optimizer", "stats", str(path)]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["optimizer"]["cache"]["hits"] == 3
+        optimized, _, _, _, optimizer = make_pair()
+        optimized.execute(GROUP)
+        optimized.execute(GROUP)
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(optimizer.stats(), default=float),
+                         encoding="utf-8")
+        assert main(["optimizer", "stats", str(stats)]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["optimizer"]["cache"]["hits"] >= 1
+        assert shown["optimizer"]["profile"]["requests"] >= 2
 
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}", encoding="utf-8")
-        assert main(["optimizer", "advise", str(bogus)]) == 1
+        # Each command refuses the other's document.
+        assert main(["optimizer", "advise", str(stats)]) == 1
+        assert main(["optimizer", "stats", str(metrics)]) == 1
+        capsys.readouterr()

@@ -11,7 +11,8 @@ Covers the four promises tiered storage makes:
   including after sealing, compaction, post-compaction writes, and
   crash recovery;
 * **serving** — a TieredStore behind the unified query API answers
-  every QuerySpec kind payload-identically to the packed backend;
+  every QuerySpec kind payload-identically to the packed backend, and
+  within ε of the exact oracle once its segments are demoted to cold;
 * **cluster** — segment-granular snapshot replication ships only
   missing files and rebuilds bit-identical replicas.
 """
@@ -24,8 +25,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import QueryService, QuerySpec
+from repro.api import QueryService, QuerySpec, qkey
 from repro.core.errors import StorageError
+from repro.harness import ExactOracle
 from repro.ingest import IngestSession, IngestSpec, build_target
 from repro.ingest.backends import PackedStoreWriteBackend
 from repro.ingest.buffer import WriteBatch
@@ -369,6 +371,43 @@ class TestTieredServing:
                 assert tiered == packed, spec.kind
         finally:
             store.close(seal=False)
+
+    def test_cold_demoted_store_stays_within_epsilon(self, tmp_path):
+        """Cold segments are lossy, so they leave the bit-exact contract,
+        but global and per-cell quantiles over ~500-row cells stay within
+        ε of the exact oracle (20 mantissa bits with the log family
+        kept)."""
+        feed = batches(seed=11, rows=800, cells=16)
+        store = TieredStore(tmp_path / "t", k=K, dimensions=("cell",),
+                            hot_budget_bytes=1500)
+        oracle = ExactOracle("cell")
+        qs = (0.1, 0.5, 0.9)
+        try:
+            for dims, values in feed:
+                store.ingest_columns([dims], values)
+                oracle.insert(dims.astype(int), values)
+            store.seal()
+            demoted = store.demote(count=len(store.segments),
+                                   spec=ColdSpec(mantissa_bits=20,
+                                                 keep_log=True))
+            assert len(demoted) == len(store.segments) >= 1
+            service = QueryService(tiered=store)
+            total = service.execute(QuerySpec(kind="quantile", quantiles=qs),
+                                    backend="tiered")
+            for q in qs:
+                assert oracle.rank_error(total.estimates[qkey(q)], q) <= 0.05
+            groups = service.execute(
+                QuerySpec(kind="group_by", quantiles=qs,
+                          group_dimension="cell"), backend="tiered").groups
+            assert len(groups) == len(oracle.cells())
+            for cell, estimates in groups.items():
+                for q in qs:
+                    error = oracle.rank_error(estimates[qkey(q)], q,
+                                              cell=int(cell))
+                    assert error <= 0.05, (cell, q, error)
+        finally:
+            store.close(seal=False)
+            oracle.close()
 
     def test_ingest_session_builds_tiered_target(self, tmp_path):
         spec = IngestSpec(backend="tiered", dimensions=("cell",), k=K,

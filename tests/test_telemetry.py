@@ -374,17 +374,9 @@ class TestSlowLogAndRenderers:
         snap = tmp_path / "snapshot.json"
         snap.write_text(json.dumps({"enabled": True,
                                     "metrics": reg.to_dict()}))
-        traj = tmp_path / "traj.json"
-        traj.write_text(json.dumps(
-            {"runs": [{"name": "old"},
-                      {"telemetry": {"metrics": reg.to_dict()}}]}))
-        for path in (raw, snap, traj):
+        for path in (raw, snap):
             loaded = MetricsRegistry.from_dict(load_metrics(str(path)))
             assert loaded.counter("hits").value == 2
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"runs": [{"name": "no-telemetry"}]}))
-        with pytest.raises(ValueError):
-            load_metrics(str(empty))
 
 
 # ----------------------------------------------------------------------
@@ -599,32 +591,114 @@ class TestIngestStorageIntegration:
 
 
 # ----------------------------------------------------------------------
-# Harness integration
+# CLI: dump / top / trace over exported artifacts
 # ----------------------------------------------------------------------
 
-class TestHarnessIntegration:
-    def test_record_carries_telemetry_snapshot(self, telemetry, tmp_path):
-        from repro.harness import ExperimentSpec, run_experiment
+def _cli(capsys, *argv):
+    """Run ``repro.cli.main``; returns (exit code, trailing JSON, text)."""
+    from repro.cli import main
 
-        spec = ExperimentSpec(name="tele-test", rows=1200, cells=6,
-                              backends=("cube",), duration_seconds=0.5,
-                              target_qps=40.0, paced=False, oracle=False,
-                              seed=0)
-        record = run_experiment(spec, trajectory_path=None)
-        snap = record["telemetry"]
-        assert snap["enabled"] is True
-        assert snap["spans_recorded"] > 0
-        metrics = MetricsRegistry.from_dict(snap["metrics"])
-        totals = [metric.value for name, _, metric in metrics.items()
-                  if name == "queries_total"]
-        assert sum(totals) > 0
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    start = 0 if out.startswith("{") else out.index("\n{") + 1
+    return code, json.loads(out[start:]), out[:start]
 
-    def test_record_omits_telemetry_when_disabled(self, disabled_telemetry):
-        from repro.harness import ExperimentSpec, run_experiment
 
-        spec = ExperimentSpec(name="tele-off", rows=800, cells=4,
-                              backends=("cube",), duration_seconds=0.3,
-                              target_qps=20.0, paced=False, oracle=False,
-                              seed=0)
-        record = run_experiment(spec, trajectory_path=None)
-        assert "telemetry" not in record
+class TestTelemetryCli:
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        """Queries on a cube and a 2-node cluster, exported to disk."""
+        TELEMETRY.enable(reset=True)
+        try:
+            cube = QueryService(cube=fresh_cube())
+            cube.execute(QuerySpec(kind="quantile", quantiles=(0.5, 0.99)))
+            cube.execute(QuerySpec(kind="group_by", quantiles=(0.9,),
+                                   group_dimension="d"))
+            cluster = make_cluster(nodes=2, shards=4)
+            ingest_cluster(cluster)
+            clustered = QueryService(cluster=cluster)
+            clustered.execute(QuerySpec(kind="quantile", quantiles=(0.5,),
+                                        measure="m"))
+            clustered.execute(QuerySpec(kind="group_by", quantiles=(0.5,),
+                                        group_dimension="cell", measure="m"))
+            directory = tmp_path_factory.mktemp("telemetry")
+            spans = directory / "spans.jsonl"
+            assert TELEMETRY.tracer.export_jsonl(str(spans)) > 0
+            metrics = directory / "metrics.json"
+            metrics.write_text(render_json(TELEMETRY.registry) + "\n",
+                               encoding="utf-8")
+            scatter = [s for s in TELEMETRY.tracer.spans()
+                       if s["name"] == "cluster.scatter"]
+            series = len(TELEMETRY.registry)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        return {"spans": str(spans), "metrics": str(metrics),
+                "cluster_trace": scatter[0]["trace_id"], "series": series}
+
+    def test_dump_renders_every_series(self, artifacts, capsys):
+        code, result, _ = _cli(capsys, "telemetry", "dump",
+                               artifacts["metrics"])
+        assert code == 0
+        assert result["series"] == artifacts["series"]
+        assert result["metrics"] == load_metrics(artifacts["metrics"])
+
+    def test_top_ranks_query_latency_of_both_backends(self, artifacts,
+                                                      capsys):
+        code, result, _ = _cli(capsys, "telemetry", "top",
+                               artifacts["metrics"], "--name",
+                               "query_seconds")
+        assert code == 0
+        rows = result["series"]
+        assert {row["labels"]["backend"] for row in rows} == \
+            {"cube", "cluster"}
+        assert all(row["name"] == "query_seconds" for row in rows)
+        ranked = [row["p99"] for row in rows]
+        assert ranked == sorted(ranked, reverse=True)
+
+    def test_trace_renders_one_connected_tree(self, artifacts, capsys):
+        code, result, text = _cli(capsys, "telemetry", "trace",
+                                  artifacts["spans"], "--trace-id",
+                                  artifacts["cluster_trace"])
+        assert code == 0
+        assert result["roots"] == 1
+        lines = text.splitlines()
+        assert len(lines) == result["spans"]
+        assert lines[0].startswith("query ")
+        names = {line.split()[0] for line in lines}
+        assert names >= {"query", "cluster.scatter", "cluster.node",
+                         "cluster.shard", "query.solve"}
+
+    def test_trace_defaults_to_a_connected_tree(self, artifacts, capsys):
+        code, result, _ = _cli(capsys, "telemetry", "trace",
+                               artifacts["spans"])
+        assert code == 0
+        assert result["roots"] == 1
+
+    def test_trace_fails_on_an_empty_export(self, tmp_path, capsys):
+        empty = tmp_path / "spans.jsonl"
+        empty.write_text("", encoding="utf-8")
+        code, result, _ = _cli(capsys, "telemetry", "trace", str(empty))
+        assert code == 1
+        assert "no spans" in result["error"]
+
+    def test_trace_fails_on_an_unknown_trace_id(self, artifacts, capsys):
+        code, result, _ = _cli(capsys, "telemetry", "trace",
+                               artifacts["spans"], "--trace-id", "nope")
+        assert code == 1
+        assert "'nope' not found" in result["error"]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("telemetry top", "--limit", "0"), ("telemetry top", "--limit", "-1"),
+        ("telemetry top", "--quantile", "1.5"),
+        ("telemetry top", "--quantile", "-0.1"),
+        ("optimizer advise", "--top", "0"), ("optimizer advise", "--top", "-1"),
+    ])
+    def test_out_of_range_arguments_are_usage_errors(self, artifacts, capsys,
+                                                     command, flag, value):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), artifacts["metrics"], flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
