@@ -1,5 +1,6 @@
 # Test and benchmark entry points.  `make test` is the CI gate: byte
-# compilation, tier-1 tests, plus smoke runs of the packed-merge,
+# compilation, tier-1 tests, a run of every `examples/*.py` script
+# (fails on any non-zero exit), plus smoke runs of the packed-merge,
 # batched-query, cluster-scaling, ingestion, batched-group-solve, and
 # tiered-storage benchmarks, which fail on any packed-vs-loop
 # divergence, broken scan sharing, cluster answers that are not
@@ -40,6 +41,10 @@ lint:
 test:
 	$(PYTHON) -m compileall -q src
 	$(PYTHON) -m pytest -x -q
+	@for example in examples/*.py; do \
+		echo "$$example"; \
+		$(PYTHON) "$$example" >/dev/null || { echo "example failed: $$example"; exit 1; }; \
+	done
 	$(PYTHON) benchmarks/bench_batch_merge.py --quick
 	$(PYTHON) benchmarks/bench_execute_batch.py --quick
 	$(PYTHON) benchmarks/bench_cluster_scaling.py --quick

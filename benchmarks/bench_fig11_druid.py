@@ -10,6 +10,7 @@ with S-Hist cost growing with centroid count (the paper's 0.27s / 1.7s /
 
 import numpy as np
 
+from repro.api import QueryService, QuerySpec
 from repro.druid import DruidEngine, registry
 
 from _harness import print_table, run_once, scaled
@@ -37,15 +38,18 @@ def test_fig11_druid_quantile_query(benchmark, milan_data):
 
     def experiment():
         engine = _build_engine(values)
+        service = QueryService(druid=engine)
         truth = float(np.quantile(values, 0.99))
         rows = []
         times = {}
         for aggregator in AGGREGATORS:
-            result = engine.query(aggregator, q=0.99)
+            result = service.execute(QuerySpec(
+                kind="quantile", quantiles=(0.99,), measure=aggregator))
+            timings = result.timings
             rows.append([aggregator, result.cells_scanned,
-                         result.merge_seconds, result.finalize_seconds,
-                         result.total_seconds, result.value])
-            times[aggregator] = result.total_seconds
+                         timings.merge_seconds, timings.solve_seconds,
+                         timings.total_seconds, result.value])
+            times[aggregator] = timings.total_seconds
         return rows, times, truth, engine.num_cells
 
     rows, times, truth, cells = run_once(benchmark, experiment)

@@ -50,7 +50,7 @@ from repro.core.cascade import ThresholdCascade  # noqa: E402
 from repro.core.batch_solver import fit_estimators  # noqa: E402
 from repro.core.quantile import QuantileEstimator  # noqa: E402
 from repro.core.solver import solve  # noqa: E402
-from repro.workload import build_packed_cells, run_group_query  # noqa: E402
+from repro.workload import build_packed_cells  # noqa: E402
 
 CELL_SIZE = 200
 GATE_CELLS = 1024
@@ -62,6 +62,14 @@ def _service(cells, n) -> QueryService:
                                  config=cells.config,
                                  rows=np.arange(n))
     return QueryService(cells=backend)
+
+
+def batched_timings(cells, n: int):
+    """The service's group-by over ``n`` cells: one stacked solve for all
+    groups; returns its :class:`~repro.api.QueryTimings`."""
+    spec = QuerySpec(kind="group_by", quantiles=(0.99,),
+                     group_dimension="cell")
+    return _service(cells, n).execute(spec).timings
 
 
 def _groups(service: QueryService) -> dict:
@@ -181,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     data = rng.lognormal(1.0, 1.0, max(sizes) * CELL_SIZE)
     cells = build_packed_cells(data, cell_size=CELL_SIZE, k=10)
     # Warm both paths (grid/coefficient caches) before timing.
-    run_group_query(cells, q=0.99, num_cells=64)
+    batched_timings(cells, 64)
     time_reference(cells, 64)
 
     print(f"{'cells':>6} {'batched_s':>10} {'scalar_s':>10} "
@@ -191,8 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     repeats = max(args.repeats, 1)
     for n in sizes:
         batched = min(
-            (run_group_query(cells, q=0.99, num_cells=n)
-             for _ in range(repeats)), key=lambda t: t.solve_seconds)
+            (batched_timings(cells, n) for _ in range(repeats)),
+            key=lambda t: t.solve_seconds)
         scalar_seconds = min(time_reference(cells, n)
                              for _ in range(repeats))
         speedup = (scalar_seconds / batched.solve_seconds

@@ -14,7 +14,11 @@ import time
 
 import numpy as np
 
+from repro.api import QueryService, QuerySpec, qkey
 from repro.druid import DruidEngine, registry
+
+MEASURE = "momentsSketch@10"
+P99 = qkey(0.99)
 
 
 def simulate_telemetry(n: int, seed: int = 0):
@@ -46,30 +50,38 @@ def main() -> None:
     print(f"ingested {n} rows into {engine.num_cells} cube cells "
           f"in {time.perf_counter() - start:.2f}s")
 
+    service = QueryService(druid=engine)
+
     # Global p99 across every cell.
-    result = engine.query("momentsSketch@10", q=0.99)
+    result = service.execute(QuerySpec(kind="quantile", quantiles=(0.99,),
+                                       measure=MEASURE))
     print(f"\nglobal p99: {result.value:.1f}  "
           f"({result.cells_scanned} cells merged in "
-          f"{result.merge_seconds * 1e3:.1f} ms, estimate in "
-          f"{result.finalize_seconds * 1e3:.1f} ms)")
+          f"{result.timings.merge_seconds * 1e3:.1f} ms, estimate in "
+          f"{result.timings.solve_seconds * 1e3:.1f} ms)")
 
     # Drill-down: p99 per app version (a groupBy over merged sketches).
     print("\np99 by version:")
-    for version, value in sorted(engine.group_by(
-            "momentsSketch@10", "version", q=0.99).items()):
-        print(f"  {version}: {value:10.1f}")
+    by_version = service.execute(QuerySpec(
+        kind="group_by", quantiles=(0.99,), measure=MEASURE,
+        group_dimension="version"))
+    for version, estimates in sorted(by_version.groups.items()):
+        print(f"  {version}: {estimates[P99]:10.1f}")
 
     # Slice: where did v8 regress?  p99 by OS, filtered to v8.
     print("\np99 by OS for version v8:")
-    for os_name, value in sorted(engine.group_by(
-            "momentsSketch@10", "os", q=0.99,
-            filters={"version": "v8"}).items()):
+    by_os = service.execute(QuerySpec(
+        kind="group_by", quantiles=(0.99,), measure=MEASURE,
+        group_dimension="os", filters={"version": "v8"}))
+    for os_name, estimates in sorted(by_os.groups.items()):
+        value = estimates[P99]
         marker = "  <-- regression" if value > 500 else ""
         print(f"  {os_name}: {value:10.1f}{marker}")
 
     # Time-windowed query: last 24 hours only.
-    last_day = engine.query("momentsSketch@10", q=0.99,
-                            interval=(2 * 24 * 3600.0, 3 * 24 * 3600.0))
+    last_day = service.execute(QuerySpec(
+        kind="quantile", quantiles=(0.99,), measure=MEASURE,
+        interval=(2 * 24 * 3600.0, 3 * 24 * 3600.0)))
     print(f"\np99 over the last day: {last_day.value:.1f} "
           f"({last_day.cells_scanned} cells)")
 

@@ -9,15 +9,15 @@ observe:
   unordered float folds in merge-order-sensitive modules;
 * telemetry guards (TEL001/TEL002) — data-plane calls dominated by
   ``TELEMETRY.enabled``, spans managed by context managers;
-* API hygiene (API001/API002) — no internal deprecated-keyword callers,
-  public errors from the ``core.errors`` taxonomy.
+* API hygiene (API002) — public errors from the ``core.errors``
+  taxonomy.
 
 Run it as ``repro analysis lint src/`` (or ``make lint``); suppress a
 single finding with ``# repro: noqa[RULE]`` and accepted legacy debt
 with the baseline file (:mod:`repro.analysis.baseline`).
 """
 
-from .api_hygiene import ApiHygieneChecker, BARE_ERROR, DEPRECATED_KWARG
+from .api_hygiene import ApiHygieneChecker, BARE_ERROR
 from .baseline import (apply_baseline, load_baseline, save_baseline,
                        BASELINE_VERSION)
 from .config import (AnalysisConfig, DEFAULT_CONFIG, DEFAULT_GUARDED_BY,
@@ -44,7 +44,7 @@ __all__ = [
     "DEFAULT_CHECKERS", "DEFAULT_CONFIG", "DEFAULT_GUARDED_BY",
     "BASELINE_VERSION", "PARSE_RULE",
     "LOCK_OUTSIDE", "LOCK_HELPER", "SET_ITER", "DICT_VIEW_ITER", "FLOAT_SUM",
-    "UNGUARDED", "SPAN_LIFECYCLE", "DEPRECATED_KWARG", "BARE_ERROR",
+    "UNGUARDED", "SPAN_LIFECYCLE", "BARE_ERROR",
     "all_rules", "analyze_paths", "apply_baseline", "iter_python_files",
     "load_baseline", "save_baseline",
 ]

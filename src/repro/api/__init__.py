@@ -16,7 +16,7 @@ from .backends import (Backend, CubeBackend, DruidBackend, GroupRollupResult,
 from .planner import QueryPlan, plan
 from .service import BatchReport, QueryService, execute
 from .spec import (KINDS, QueryResponse, QuerySpec, QueryTimings, WindowSpec,
-                   normalize_q, qkey)
+                   qkey)
 
 __all__ = [
     "Backend", "CubeBackend", "DruidBackend", "GroupRollupResult",
@@ -24,5 +24,5 @@ __all__ = [
     "WindowedResult", "as_backend", "register_adapter", "sketch_of",
     "QueryPlan", "plan", "BatchReport", "QueryService", "execute",
     "KINDS", "QueryResponse", "QuerySpec", "QueryTimings", "WindowSpec",
-    "normalize_q", "qkey",
+    "qkey",
 ]

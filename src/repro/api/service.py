@@ -557,15 +557,14 @@ class QueryService:
                ) -> tuple[list, int, str]:
         """Bounds-pruned top-n ranking (Section 5's principle on ranking).
 
-        Identical plan to the legacy ``top_n_by_quantile``: when every
-        group is moments-backed and there are more groups than ``n``,
-        RTT rank bounds bracket each group's quantile and groups whose
-        best case cannot beat the n-th worst case are discarded before
-        any max-entropy solve.  The bracket bisection runs all groups
-        through :func:`rtt_bound_batch` per step (the same brackets as
-        :func:`_quantile_bracket`, so the same pruning) and the
-        surviving candidates share one batched solve.  Also returns the
-        solve-call count for the timings.
+        When every group is moments-backed and there are more groups
+        than ``n``, RTT rank bounds bracket each group's quantile and
+        groups whose best case cannot beat the n-th worst case are
+        discarded before any max-entropy solve.  The bracket bisection
+        runs all groups through :func:`rtt_bound_batch` per step (the
+        same brackets as :func:`_quantile_bracket`, so the same pruning)
+        and the surviving candidates share one batched solve.  Also
+        returns the solve-call count for the timings.
         """
         n = spec.n or 1
         q = spec.q

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Mapping
 
 from ..core.errors import QueryError
-from ..core.params import normalize_q  # noqa: F401  (canonical home re-export)
+from ..core.params import check_q
 
 #: Supported query kinds.
 KINDS = ("quantile", "cdf", "threshold_count", "group_by", "top_n", "windowed")
@@ -42,6 +44,49 @@ def qkey(value: float) -> str:
     return repr(float(value))
 
 
+def _reals(name: str, values: object) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, or a :class:`QueryError` naming
+    the field (a string is not a list of numbers)."""
+    if isinstance(values, (str, bytes, Mapping)) \
+            or not isinstance(values, Iterable):
+        raise QueryError(f"{name} must be a list of numbers, got {values!r}")
+    values = tuple(values)
+    if not all(isinstance(v, Real) for v in values):
+        raise QueryError(f"{name} must be a list of numbers, "
+                         f"got {list(values)!r}")
+    return tuple(float(v) for v in values)
+
+
+def _count(name: str, value: object) -> int:
+    """``value`` as an integer >= 1, or a :class:`QueryError` naming the
+    field (``2.7`` is rejected, not truncated)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) \
+            or value < 1:
+        raise QueryError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _filter_pairs(filters: object) -> tuple[tuple[str, object], ...]:
+    """Filters as ``(dimension, value)`` pairs sorted by dimension; each
+    value must be hashable (the scan signature keys on it)."""
+    items = filters.items() if isinstance(filters, Mapping) else filters
+    if isinstance(items, (str, bytes)) or not isinstance(items, Iterable):
+        raise QueryError(f"filters must map dimensions to values, "
+                         f"got {filters!r}")
+    pairs = []
+    for item in items:
+        if not isinstance(item, (tuple, list)) or len(item) != 2:
+            raise QueryError(f"filters must map dimensions to values, "
+                             f"got {filters!r}")
+        try:
+            hash(item[1])
+        except TypeError:
+            raise QueryError(f"filter value for {item[0]!r} must be a "
+                             f"scalar, got {item[1]!r}") from None
+        pairs.append((str(item[0]), item[1]))
+    return tuple(sorted(pairs, key=lambda kv: kv[0]))
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Sliding-window parameters for ``kind="windowed"`` queries."""
@@ -50,10 +95,8 @@ class WindowSpec:
     strategy: str = "turnstile"
 
     def __post_init__(self):
-        if int(self.window_panes) < 1:
-            raise QueryError(
-                f"window_panes must be positive, got {self.window_panes}")
-        object.__setattr__(self, "window_panes", int(self.window_panes))
+        object.__setattr__(self, "window_panes",
+                           _count("window_panes", self.window_panes))
         if self.strategy not in WINDOW_STRATEGIES:
             raise QueryError(f"unknown window strategy {self.strategy!r}; "
                              f"use one of {WINDOW_STRATEGIES}")
@@ -63,6 +106,12 @@ class WindowSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "WindowSpec":
+        if not isinstance(payload, Mapping) or "window_panes" not in payload:
+            raise QueryError(f"window needs a 'window_panes' field, "
+                             f"got {payload!r}")
+        unknown = set(payload) - {"window_panes", "strategy"}
+        if unknown:
+            raise QueryError(f"unknown window fields: {sorted(unknown)}")
         return cls(window_panes=payload["window_panes"],
                    strategy=payload.get("strategy", "turnstile"))
 
@@ -134,40 +183,45 @@ class QuerySpec:
         if self.kind not in KINDS:
             raise QueryError(f"unknown query kind {self.kind!r}; "
                              f"use one of {KINDS}")
-        object.__setattr__(self, "quantiles",
-                           tuple(float(q) for q in self.quantiles))
+        object.__setattr__(self, "quantiles", tuple(
+            check_q(q) for q in _reals("quantiles", self.quantiles)))
         object.__setattr__(self, "thresholds",
-                           tuple(float(t) for t in self.thresholds))
+                           _reals("thresholds", self.thresholds))
         if any(math.isnan(t) for t in self.thresholds):
             raise QueryError(f"thresholds must not be NaN, "
                              f"got {self.thresholds}")
-        if isinstance(self.filters, Mapping):
-            object.__setattr__(self, "filters",
-                               tuple(sorted(self.filters.items(),
-                                            key=lambda kv: kv[0])))
-        else:
-            object.__setattr__(
-                self, "filters",
-                tuple(sorted(((str(d), v) for d, v in self.filters),
-                             key=lambda kv: kv[0])))
+        object.__setattr__(self, "filters", _filter_pairs(self.filters))
         if self.interval is not None:
-            lo, hi = self.interval
-            object.__setattr__(self, "interval", (float(lo), float(hi)))
-            if any(math.isnan(bound) for bound in self.interval):
+            interval = _reals("interval", self.interval)
+            if len(interval) != 2:
+                raise QueryError(f"interval must be [lo, hi], "
+                                 f"got {self.interval!r}")
+            object.__setattr__(self, "interval", interval)
+            if any(math.isnan(bound) for bound in interval):
                 raise QueryError(f"interval bounds must not be NaN, "
-                                 f"got {self.interval}")
-            if self.interval[0] > self.interval[1]:
-                raise QueryError(f"empty interval {self.interval}")
+                                 f"got {interval}")
+            if interval[0] > interval[1]:
+                raise QueryError(f"empty interval {interval}")
+        for name in ("group_dimension", "measure", "backend"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise QueryError(f"{name} must be a string, got {value!r}")
+        if isinstance(self.cascade_stages, str) \
+                or not isinstance(self.cascade_stages, Iterable):
+            raise QueryError(f"cascade_stages must be a list of stage "
+                             f"names, got {self.cascade_stages!r}")
         object.__setattr__(self, "cascade_stages", tuple(self.cascade_stages))
-        unknown = set(self.cascade_stages) - set(_CASCADE_STAGES)
+        unknown = [s for s in self.cascade_stages if s not in _CASCADE_STAGES]
         if unknown:
-            raise QueryError(f"unknown cascade stages: {sorted(unknown)}")
+            raise QueryError(f"unknown cascade stages: {unknown}")
         if self.estimator not in ("auto", "maxent"):
             raise QueryError(f"unknown estimator {self.estimator!r}; "
                              f"use 'auto' or 'maxent'")
-        for q in self.quantiles:
-            if not 0.0 < q < 1.0:
-                raise QueryError(f"quantile fraction must be in (0, 1), got {q}")
+        if self.n is not None:
+            object.__setattr__(self, "n", _count("n", self.n))
+        if self.window is not None and not isinstance(self.window, WindowSpec):
+            raise QueryError(f"window must be a WindowSpec, "
+                             f"got {self.window!r}")
 
         needs_quantiles = self.kind in ("quantile", "group_by", "top_n",
                                         "threshold_count", "windowed")
@@ -183,10 +237,8 @@ class QuerySpec:
             raise QueryError("windowed queries use exactly one threshold")
         if self.kind in ("group_by", "top_n") and not self.group_dimension:
             raise QueryError(f"{self.kind} queries need a group_dimension")
-        if self.kind == "top_n":
-            if self.n is None or int(self.n) < 1:
-                raise QueryError(f"top_n queries need n >= 1, got {self.n}")
-            object.__setattr__(self, "n", int(self.n))
+        if self.kind == "top_n" and self.n is None:
+            raise QueryError("top_n queries need n >= 1, got None")
         if self.kind == "windowed" and self.window is None:
             raise QueryError("windowed queries need a window=WindowSpec(...)")
 
@@ -257,12 +309,10 @@ class QuerySpec:
         if kind is None:
             raise QueryError("a query spec needs a 'kind'")
         quantiles = payload.pop("quantiles", None)
-        # Accept the scalar aliases 'q' (canonical) and 'phi' (deprecated).
+        # Accept the scalar alias 'q'.
         if quantiles is None and "q" in payload:
             q = payload.pop("q")
             quantiles = q if isinstance(q, (list, tuple)) else [q]
-        if quantiles is None and "phi" in payload:
-            quantiles = [normalize_q(phi=payload.pop("phi"))]
         if quantiles is None:
             quantiles = [0.5]
         thresholds = payload.pop("thresholds", None)
@@ -277,13 +327,10 @@ class QuerySpec:
         unknown = set(payload) - set(known)
         if unknown:
             raise QueryError(f"unknown query spec fields: {sorted(unknown)}")
-        if "interval" in known and known["interval"] is not None:
-            known["interval"] = tuple(known["interval"])
-        if "cascade_stages" in known:
-            known["cascade_stages"] = tuple(known["cascade_stages"])
-        return cls(kind=kind, quantiles=tuple(quantiles),
-                   thresholds=tuple(thresholds or ()),
-                   window=WindowSpec.from_dict(window) if window else None,
+        return cls(kind=kind, quantiles=quantiles,
+                   thresholds=() if thresholds is None else thresholds,
+                   window=None if window is None
+                   else WindowSpec.from_dict(window),
                    **known)
 
     @classmethod

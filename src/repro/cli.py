@@ -19,8 +19,8 @@ unified query API (:mod:`repro.api`): pass ``--spec`` with a
 :class:`~repro.api.QuerySpec` JSON document to run any spec against the
 sketch and emit the full :class:`~repro.api.QueryResponse` JSON;
 without ``--spec`` the flag-based invocations build the equivalent spec
-and emit the historical compact output.  ``--phi`` is a deprecated
-alias of ``--q``.
+and emit the historical compact output.  ``--spec`` replaces ``--q`` and
+``--t``; passing either beside it is a usage error (exit 2).
 
 Input files are one float per line (CSV with a single column); sketch
 files use the library's binary serialization.
@@ -32,7 +32,6 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,21 +65,6 @@ def _sketch_service(sketch: MomentsSketch) -> QueryService:
     return QueryService(sketch=SummariesBackend([summary]))
 
 
-def _quantile_args(args: argparse.Namespace, default: list[float]) -> list[float]:
-    """Resolve --q / deprecated --phi into quantile fractions."""
-    q = getattr(args, "q", None)
-    phi = getattr(args, "phi", None)
-    if phi is not None:
-        if q:
-            raise QueryError("pass either --q or the deprecated --phi, not both")
-        warnings.warn("the '--phi' flag is deprecated; use '--q'",
-                      DeprecationWarning, stacklevel=2)
-        return [float(v) for v in (phi if isinstance(phi, list) else [phi])]
-    if q:
-        return [float(v) for v in q]
-    return list(default)
-
-
 # ----------------------------------------------------------------------
 # Subcommand handlers (each returns a JSON-serializable result)
 # ----------------------------------------------------------------------
@@ -108,8 +92,8 @@ def cmd_query(args: argparse.Namespace) -> dict:
     service = _sketch_service(sketch)
     if args.spec:
         return service.execute(QuerySpec.from_json(args.spec)).to_dict()
-    qs = _quantile_args(args, default=[0.5, 0.99])
-    response = service.execute(QuerySpec(kind="quantile", quantiles=tuple(qs)))
+    qs = args.q or [0.5, 0.99]
+    response = service.execute(QuerySpec(kind="quantile", quantiles=qs))
     return {"count": sketch.count,
             "quantiles": {qkey(q): float(response.estimates[qkey(q)])
                           for q in qs}}
@@ -122,7 +106,7 @@ def cmd_threshold(args: argparse.Namespace) -> dict:
         return service.execute(QuerySpec.from_json(args.spec)).to_dict()
     if args.t is None:
         raise QueryError("--t is required without --spec")
-    q = _quantile_args(args, default=[0.99])[0]
+    q = 0.99 if args.q is None else args.q
     response = service.execute(QuerySpec(kind="threshold_count",
                                          thresholds=(args.t,),
                                          quantiles=(q,)))
@@ -439,7 +423,7 @@ def cmd_cluster_demo(args: argparse.Namespace) -> dict:
     from .cluster import ClusterCoordinator, timings_breakdown
     from .druid import DruidEngine, MomentsSketchAggregator
 
-    qs = _quantile_args(args, default=[0.5, 0.99])
+    qs = args.q or [0.5, 0.99]
     rng = np.random.default_rng(args.seed)
     values = rng.lognormal(1.0, 1.0, args.rows)
     cells = (np.arange(args.rows) % args.cells).astype(int)
@@ -593,8 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("sketch")
     query.add_argument("--q", type=float, nargs="+", default=None,
                        help="target quantile fractions (default 0.5 0.99)")
-    query.add_argument("--phi", type=float, nargs="+", default=None,
-                       help="deprecated alias of --q")
     query.add_argument("--spec", default=None,
                        help="QuerySpec JSON; emits the full QueryResponse")
     query.set_defaults(handler=cmd_query)
@@ -604,10 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     threshold.add_argument("sketch")
     threshold.add_argument("--t", type=float, default=None,
                            help="threshold (required without --spec)")
-    threshold.add_argument("--q", type=float, nargs="+", default=None,
+    threshold.add_argument("--q", type=float, default=None,
                            help="quantile fraction (default 0.99)")
-    threshold.add_argument("--phi", type=float, default=None,
-                           help="deprecated alias of --q")
     threshold.add_argument("--spec", default=None,
                            help="QuerySpec JSON; emits the full QueryResponse")
     threshold.set_defaults(handler=cmd_threshold)
@@ -799,6 +779,10 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; prints one JSON document and returns an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.handler in (cmd_query, cmd_threshold, cmd_bounds) and args.spec \
+            and (getattr(args, "q", None) is not None
+                 or getattr(args, "t", None) is not None):
+        parser.error("--spec replaces --q/--t; pass one or the other")
     try:
         result = args.handler(args)
     except FileNotFoundError as exc:

@@ -1,7 +1,7 @@
 """Core moments-sketch package: the paper's primary contribution."""
 
 from .sketch import ColumnarMoments, MomentsSketch, merge_all, DEFAULT_ORDER
-from .params import normalize_q
+from .params import check_q
 from .quantile import QuantileEstimator, estimate_quantile, estimate_quantiles, safe_estimate_quantiles
 from .solver import SolverConfig
 from .batch_solver import (BatchEstimationReport, BatchSolveOutcome,
@@ -16,7 +16,7 @@ from .errors import (
 
 __all__ = [
     "ColumnarMoments", "MomentsSketch", "merge_all", "DEFAULT_ORDER",
-    "normalize_q",
+    "check_q",
     "QuantileEstimator", "estimate_quantile", "estimate_quantiles",
     "safe_estimate_quantiles", "SolverConfig",
     "BatchEstimationReport", "BatchSolveOutcome", "estimate_quantiles_batch",

@@ -178,6 +178,14 @@ def _raw_moment_rows(sums: np.ndarray, counts: np.ndarray, order: int
     return mu
 
 
+def _thresholds(t, counts: np.ndarray) -> np.ndarray:
+    """``t`` broadcast to one threshold per row; NaN has no rank to bound."""
+    ts = np.broadcast_to(np.asarray(t, dtype=float), counts.shape)
+    if np.isnan(ts).any():
+        raise BoundError("thresholds must not be NaN")
+    return ts
+
+
 def markov_bound_batch(moments: ColumnarMoments, t,
                        max_order: int | None = None) -> RankBoundsBatch:
     """Markov-inequality bounds on rank(t) for every row of a block.
@@ -195,7 +203,7 @@ def markov_bound_batch(moments: ColumnarMoments, t,
     _require_nonempty_rows(moments)
     counts = moments.counts
     size = len(moments)
-    ts = np.broadcast_to(np.asarray(t, dtype=float), counts.shape)
+    ts = _thresholds(t, counts)
     below = ts <= moments.mins
     above = ts > moments.maxs
     lower_frac = np.zeros(size)
@@ -384,7 +392,7 @@ def rtt_bound_batch(moments: ColumnarMoments, t,
     _require_nonempty_rows(moments)
     counts = moments.counts
     size = len(moments)
-    ts = np.broadcast_to(np.asarray(t, dtype=float), counts.shape)
+    ts = _thresholds(t, counts)
     markov = markov_bound_batch(moments, ts, max_order=max_order)
     below = ts <= moments.mins
     above = ts > moments.maxs

@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import (markov_bound, markov_bound_batch, rtt_bound,
                      rtt_bound_batch)
 from .errors import ConvergenceError, EmptySketchError
-from .params import normalize_q
+from .params import check_q
 from .quantile import QuantileEstimator
 from .sketch import ColumnarMoments, MomentsSketch
 from .solver import SolverConfig
@@ -115,20 +115,14 @@ class ThresholdCascade:
 
     # ------------------------------------------------------------------
 
-    def threshold(self, sketch: MomentsSketch, t: float,
-                  q: float | None = None, *, phi: float | None = None) -> bool:
-        """Algorithm 2: is the q-quantile estimate greater than ``t``?
-
-        The ``phi=`` keyword is deprecated in favor of the canonical
-        ``q`` (see :func:`repro.core.params.normalize_q`).
-        """
-        return self.evaluate(sketch, t, normalize_q(q, phi)).result
+    def threshold(self, sketch: MomentsSketch, t: float, q: float) -> bool:
+        """Algorithm 2: is the q-quantile estimate greater than ``t``?"""
+        return self.evaluate(sketch, t, q).result
 
     def evaluate(self, sketch: MomentsSketch, t: float,
-                 q: float | None = None, *,
-                 phi: float | None = None) -> ThresholdOutcome:
+                 q: float) -> ThresholdOutcome:
         """Like :meth:`threshold` but reports which stage decided."""
-        q = normalize_q(q, phi)
+        q = check_q(q)
         sketch.require_nonempty()
         self.stats.queries += 1
         target_rank = sketch.count * q
@@ -148,8 +142,8 @@ class ThresholdCascade:
         result = self._timed("maxent", self._maxent, sketch, t, q)
         return ThresholdOutcome(bool(result), "maxent")
 
-    def evaluate_batch(self, sketches, t: float, q: float | None = None, *,
-                       phi: float | None = None) -> list[ThresholdOutcome]:
+    def evaluate_batch(self, sketches, t: float,
+                       q: float) -> list[ThresholdOutcome]:
         """Run the cascade over a whole cell set with batched stages.
 
         ``sketches`` is a sequence of :class:`MomentsSketch` or a
@@ -167,7 +161,7 @@ class ThresholdCascade:
         and gated in CI.  Per-stage stats record the batched timings
         (one span per stage, not one per cell).
         """
-        q = normalize_q(q, phi)
+        q = check_q(q)
         if isinstance(sketches, ColumnarMoments):
             moments = sketches
             cells: list[MomentsSketch | None] = [None] * len(moments)

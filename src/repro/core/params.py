@@ -1,40 +1,15 @@
-"""Canonical query-parameter naming shared by every engine surface.
-
-Historically each layer spelled the quantile argument differently
-(``phi`` in the paper-facing modules, ``q`` in ad-hoc scripts).  The
-unified query API (:mod:`repro.api`) standardizes on ``q``; the legacy
-``phi=`` keyword keeps working on every public entry point but emits a
-:class:`DeprecationWarning` through :func:`normalize_q` so callers can
-migrate incrementally.
-"""
+"""The quantile-fraction check shared by every query entry point."""
 
 from __future__ import annotations
 
-import warnings
+from numbers import Real
 
 from .errors import QueryError
 
 
-def normalize_q(q: float | None = None, phi: float | None = None,
-                default: float | None = None, stacklevel: int = 3) -> float:
-    """Resolve the canonical quantile fraction from ``q``/legacy ``phi``.
-
-    Exactly one of ``q`` and ``phi`` may be given; ``phi`` triggers a
-    :class:`DeprecationWarning`.  When neither is given, ``default`` is
-    used (an error if there is no default).
-    """
-    if phi is not None:
-        if q is not None:
-            raise QueryError("pass either q or the deprecated phi, not both")
-        warnings.warn(
-            "the 'phi' keyword is deprecated; use 'q' (see repro.api.QuerySpec)",
-            DeprecationWarning, stacklevel=stacklevel)
-        q = phi
-    if q is None:
-        if default is None:
-            raise QueryError("a quantile fraction q is required")
-        q = default
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise QueryError(f"quantile fraction must be in (0, 1), got {q}")
-    return q
+def check_q(q: object) -> float:
+    """Return ``q`` as a float, or raise :class:`QueryError` unless it is a
+    real number strictly inside (0, 1) (NaN and ``None`` are rejected)."""
+    if not isinstance(q, Real) or not 0.0 < float(q) < 1.0:
+        raise QueryError(f"quantile fraction must be in (0, 1), got {q!r}")
+    return float(q)

@@ -104,14 +104,15 @@ class MomentsSketch:
     def accumulate(self, values: Iterable[float]) -> None:
         """Add values pointwise (Algorithm 1's ``Accumulate``, vectorized).
 
-        Accepts a scalar, any iterable, or a numpy array.  NaNs are rejected
-        because they would silently poison every future estimate.
+        Accepts a scalar, any iterable, or a numpy array.  NaNs and
+        infinities are rejected because they would poison every future
+        estimate of any roll-up containing this sketch.
         """
         x = np.atleast_1d(np.asarray(values, dtype=float))
         if x.size == 0:
             return
-        if np.isnan(x).any():
-            raise SketchError("cannot accumulate NaN values")
+        if not np.isfinite(x).all():
+            raise SketchError("cannot accumulate NaN or infinite values")
         self.count += x.size
         self.min = min(self.min, float(x.min()))
         self.max = max(self.max, float(x.max()))

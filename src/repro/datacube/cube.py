@@ -6,6 +6,8 @@ metric column and ``d`` dimension columns, ingestion groups rows by their
 d-tuple and accumulates each group into its own summary.  Roll-up queries
 then *merge* the summaries of every cell matching a filter — no raw data is
 touched, and query cost is ``t_merge * n_merge + t_est`` (Eq. 2).
+Quantile and group queries run through :class:`~repro.api.QueryService`
+(``QueryService(cube=cube)``); the cube itself only ingests and rolls up.
 
 The cube is engine-agnostic: any :class:`~repro.summaries.base.QuantileSummary`
 factory works, which is how the benchmarks compare summary types under
@@ -41,7 +43,6 @@ import numpy as np
 
 from ..core.errors import QueryError
 from ..core.grouping import lexsort_groups
-from ..core.params import normalize_q
 from ..core.sketch import MomentsSketch
 from ..store import PackedSketchStore
 from ..summaries.base import QuantileSummary
@@ -270,8 +271,7 @@ class DataCube:
         Returns ``(aggregate, profile)`` where ``profile`` carries
         ``cells_scanned``, ``merge_calls`` (vectorized reductions on the
         packed backend, pairwise merges on dict), ``planner_seconds``
-        (cell matching), ``merge_seconds``, and ``route``.  Updates
-        ``last_merge_count`` exactly like :meth:`rollup`.
+        (cell matching), ``merge_seconds``, and ``route``.
         """
         start = time.perf_counter()
         if self._packed:
@@ -282,7 +282,6 @@ class DataCube:
             start = time.perf_counter()
             merged = self._store.batch_merge(rows)
             merge_seconds = time.perf_counter() - start
-            self.last_merge_count = int(rows.size)
             return self._wrap(merged), {
                 "cells_scanned": int(rows.size), "merge_calls": 1,
                 "planner_seconds": planner, "merge_seconds": merge_seconds,
@@ -296,74 +295,19 @@ class DataCube:
         for summary in matching[1:]:
             aggregate.merge(summary)
         merge_seconds = time.perf_counter() - start
-        self.last_merge_count = len(matching)
         return aggregate, {
             "cells_scanned": len(matching),
             "merge_calls": len(matching) - 1, "planner_seconds": planner,
             "merge_seconds": merge_seconds, "route": "loop"}
 
-    def quantile(self, q: float | None = None,
-                 filters: Mapping[str, object] | None = None, *,
-                 phi: float | None = None) -> float:
-        """Roll up matching cells and estimate a quantile (Eq. 2's plan).
-
-        Shim over the unified query API: executes a ``quantile``
-        :class:`~repro.api.QuerySpec` through
-        :class:`~repro.api.QueryService`, so the packed/loop routing and
-        timing accounting are shared with every other entry point.  The
-        ``phi=`` keyword is deprecated in favor of ``q``.
-        """
-        from ..api import QuerySpec, QueryService
-        q = normalize_q(q, phi, default=0.5)
-        spec = QuerySpec(kind="quantile", quantiles=(q,),
-                         filters=filters or {})
-        return QueryService(cube=self).execute(spec).value
-
-    def group_by(self, dimension: str,
-                 filters: Mapping[str, object] | None = None
-                 ) -> dict[object, QuantileSummary]:
-        """Merged aggregate per distinct value of ``dimension``.
-
-        Shim over the unified API's group scan (the building block for
-        Eq. 3 threshold queries): delegates to
-        :meth:`~repro.api.backends.CubeBackend.group_rollup` and returns
-        the per-group summaries.
-        """
-        from ..api import CubeBackend, QuerySpec
-        spec = QuerySpec(kind="group_by", group_dimension=dimension,
-                         filters=filters or {})
-        return CubeBackend(self).group_rollup(spec).groups
-
-    def group_quantiles(self, dimension: str, q=None,
-                        filters: Mapping[str, object] | None = None, *,
-                        phi: float | None = None) -> dict[object, dict[str, float]]:
-        """Finalized quantile estimates per group, solved in one call.
-
-        Unlike :meth:`group_by` (which returns unsolved summaries), this
-        runs the unified API's ``group_by`` kind, so every surviving
-        group joins one batched max-entropy solve — the whole
-        high-cardinality estimation phase is a single stacked Newton
-        pass instead of one solve per group.  ``q`` may be a scalar or a
-        sequence of quantile fractions; the result maps each group value
-        to ``{qkey(q): estimate}``.  The ``phi=`` keyword is deprecated.
-        """
-        from ..api import QuerySpec, QueryService
-        if q is None or isinstance(q, (int, float)):
-            qs = (normalize_q(q if q is None else float(q), phi, default=0.5),)
-        else:
-            qs = tuple(float(value) for value in q)
-        spec = QuerySpec(kind="group_by", quantiles=qs,
-                         group_dimension=dimension, filters=filters or {})
-        response = QueryService(cube=self).execute(spec)
-        return dict(response.groups or {})
-
     def _group_summaries(self, dimension: str,
                          filters: Mapping[str, object] | None = None,
                          profile: dict | None = None
                          ) -> dict[object, QuantileSummary]:
-        """Backend primitive behind :meth:`group_by`: one merged summary
+        """Backend primitive behind grouped queries: one merged summary
         per distinct value of ``dimension`` (the packed backend performs
-        one vectorized reduction per group).
+        one vectorized reduction per group).  Reach it through
+        :meth:`repro.api.CubeBackend.group_rollup`.
 
         ``profile``, when given, receives ``locate_seconds`` (row/group
         selection — planner work) and ``merge_seconds`` (the group-wise

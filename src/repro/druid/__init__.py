@@ -4,10 +4,10 @@ from .aggregators import (
     AggregatorFactory, AggregatorState, DoubleSumAggregator,
     MomentsSketchAggregator, StreamingHistogramAggregator, registry,
 )
-from .engine import DruidEngine, QueryResult, Segment, top_n_by_quantile
+from .engine import DruidEngine, Segment
 
 __all__ = [
     "AggregatorFactory", "AggregatorState", "DoubleSumAggregator",
     "MomentsSketchAggregator", "StreamingHistogramAggregator", "registry",
-    "DruidEngine", "QueryResult", "Segment", "top_n_by_quantile",
+    "DruidEngine", "Segment",
 ]

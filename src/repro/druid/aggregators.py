@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core.errors import QueryError
-from ..core.params import normalize_q
+from ..core.params import check_q
 from ..summaries import MomentsSummary, StreamingHistogramSummary
 from ..summaries.base import QuantileSummary
 
@@ -101,15 +101,9 @@ class SummaryState(AggregatorState):
             raise QueryError("cannot merge summary state with non-summary state")
         self.summary.merge(other.summary)
 
-    def finalize(self, q: float | None = None, *, phi: float | None = None,
-                 **params) -> float:
-        """Finalization = quantile estimation (Druid "post-aggregation").
-
-        ``q`` is the canonical quantile keyword; ``phi=`` keeps working
-        at this public plug-in entry point but is deprecated
-        (:func:`repro.core.params.normalize_q`).
-        """
-        return self.summary.quantile(normalize_q(q, phi, default=0.5))
+    def finalize(self, q: float = 0.5, **params) -> float:
+        """Finalization = quantile estimation (Druid "post-aggregation")."""
+        return self.summary.quantile(check_q(q))
 
     def copy(self) -> "SummaryState":
         return SummaryState(self.summary.copy())

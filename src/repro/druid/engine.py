@@ -8,9 +8,11 @@ benchmark exercises:
   same dimension tuple collapse into one pre-aggregated cube cell holding
   an aggregator state per configured aggregator (Druid "roll-up").
 * **Segments** partition cells by time chunk and are scanned independently.
-* The **broker** answers quantile/sum queries by scanning matching cells,
-  merging their states (optionally across a small processing-thread pool —
-  the paper's quickstart config uses 2), and finalizing once.
+* The **broker** primitives scan matching cells and merge their states
+  (optionally across a small processing-thread pool — the paper's
+  quickstart config uses 2).  Queries reach them through
+  :class:`~repro.api.QueryService` (``QueryService(druid=engine)``),
+  whose :class:`~repro.api.DruidBackend` adapter finalizes once.
 
 The moments sketch and S-Hist enter through the aggregator plug-in API in
 :mod:`.aggregators`, so the comparison of Figure 11 runs the same plan for
@@ -42,7 +44,6 @@ import numpy as np
 
 from ..core.errors import QueryError
 from ..core.grouping import lexsort_groups
-from ..core.params import normalize_q
 from ..core.sketch import MomentsSketch
 from ..store import PackedSketchStore
 from .aggregators import (AggregatorFactory, AggregatorState,
@@ -69,39 +70,6 @@ class Segment:
     @property
     def num_cells(self) -> int:
         return len(self.cells)
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """Finalized value plus the execution profile the benchmarks report.
-
-    All three phase timings are populated identically on the packed and
-    loop paths (both route through the shared
-    :class:`~repro.api.backends.DruidBackend` adapter):
-    ``planner_seconds`` covers the segment/cell scan that locates
-    matching state, ``merge_seconds`` the merge fold, and
-    ``finalize_seconds`` (alias ``solve_seconds``) the estimator solve
-    — reported once per query, never summed per cell.  ``solve_route``
-    records which estimation path ran (``"batched"`` for moments-backed
-    group kinds, ``"scalar"`` for single-summary solves and non-moments
-    groups), so workload scripts can attribute the solve phase.
-    """
-
-    value: float
-    cells_scanned: int
-    merge_seconds: float
-    finalize_seconds: float
-    planner_seconds: float = 0.0
-    solve_route: str = ""
-
-    @property
-    def solve_seconds(self) -> float:
-        """Canonical name for the estimation phase (see repro.api)."""
-        return self.finalize_seconds
-
-    @property
-    def total_seconds(self) -> float:
-        return self.planner_seconds + self.merge_seconds + self.finalize_seconds
 
 
 class DruidEngine:
@@ -280,33 +248,6 @@ class DruidEngine:
         state.summary.sketch = sketch
         return state
 
-    def query(self, aggregator: str, q: float | None = None,
-              filters: Mapping[str, object] | None = None,
-              interval: tuple[float, float] | None = None, *,
-              phi: float | None = None) -> QueryResult:
-        """Scan matching cells, merge states, finalize (the Eq. 2 plan).
-
-        Thin shim over the unified query API: builds a ``quantile``
-        :class:`~repro.api.QuerySpec` and executes it through
-        :class:`~repro.api.QueryService`, so the packed vectorized path,
-        the loop path, and all timing fields are exactly the ones every
-        other entry point gets.  ``q`` reaches the aggregator's
-        ``finalize`` (quantile aggregators use it; ``sum`` ignores it);
-        the ``phi=`` keyword is deprecated.
-        """
-        from ..api import QuerySpec, QueryService
-        q = normalize_q(q, phi, default=0.5)
-        spec = QuerySpec(kind="quantile", quantiles=(q,), measure=aggregator,
-                         filters=filters or {}, interval=interval)
-        response = QueryService(druid=self).execute(spec)
-        timings = response.timings
-        return QueryResult(value=response.value,
-                           cells_scanned=response.cells_scanned,
-                           merge_seconds=timings.merge_seconds,
-                           finalize_seconds=timings.solve_seconds,
-                           planner_seconds=timings.planner_seconds,
-                           solve_route=timings.solve_route)
-
     def _merge_states(self, states: list[AggregatorState]) -> AggregatorState:
         def fold(shard: list[AggregatorState]) -> AggregatorState:
             aggregate = shard[0].copy()
@@ -393,48 +334,3 @@ class DruidEngine:
             profile["locate_seconds"] = 0.0
             profile["merge_seconds"] = time.perf_counter() - start
         return groups
-
-    def group_by(self, aggregator: str, dimension: str,
-                 q: float | None = None,
-                 filters: Mapping[str, object] | None = None, *,
-                 phi: float | None = None) -> dict[object, float]:
-        """Per-dimension-value finalized results (Druid groupBy query).
-
-        Shim over the unified API's ``group_by`` kind: the per-segment
-        packed reductions produce one merged sketch per group and the
-        service then solves *all* groups with one batched max-entropy
-        pass (``timings.solve_calls == 1``) instead of one Newton loop
-        per group.  The ``phi=`` keyword is deprecated in favor of
-        ``q``.
-        """
-        from ..api import QuerySpec, QueryService, qkey
-        q = normalize_q(q, phi, default=0.5)
-        spec = QuerySpec(kind="group_by", quantiles=(q,), measure=aggregator,
-                         group_dimension=dimension, filters=filters or {})
-        response = QueryService(druid=self).execute(spec)
-        key = qkey(q)
-        return {value: payload[key]
-                for value, payload in (response.groups or {}).items()}
-
-
-def top_n_by_quantile(engine: DruidEngine, aggregator: str, dimension: str,
-                      n: int, q: float | None = None,
-                      filters: Mapping[str, object] | None = None, *,
-                      phi: float | None = None) -> list[tuple[object, float]]:
-    """Druid-style topN: the n dimension values with the largest q-quantile.
-
-    Shim over the unified API's ``top_n`` kind, which keeps the
-    bounds-before-estimates pruning (RTT rank-bound brackets discard
-    groups that cannot make the list before any max-entropy solve — see
-    :meth:`repro.api.QueryService._top_n`) and runs the bracket
-    bisection and the surviving candidates' solves as stacked vectorized
-    passes.  The ``phi=`` keyword is deprecated in favor of ``q``.
-
-    Returns (dimension value, quantile estimate) pairs, best first.
-    """
-    from ..api import QuerySpec, QueryService
-    q = normalize_q(q, phi, default=0.99)
-    spec = QuerySpec(kind="top_n", quantiles=(q,), measure=aggregator,
-                     group_dimension=dimension, n=n, filters=filters or {})
-    response = QueryService(druid=engine).execute(spec)
-    return [(value, estimate) for value, estimate in (response.top or [])]

@@ -217,8 +217,8 @@ class PackedSketchStore:
         x = np.atleast_1d(np.asarray(values, dtype=float))
         if x.size == 0:
             return
-        if np.isnan(x).any():
-            raise SketchError("cannot accumulate NaN values")
+        if not np.isfinite(x).all():
+            raise SketchError("cannot accumulate NaN or infinite values")
         self.counts[row] += x.size
         self.mins[row] = min(self.mins[row], float(x.min()))
         self.maxs[row] = max(self.maxs[row], float(x.max()))
@@ -246,8 +246,8 @@ class PackedSketchStore:
                 f"{rows.shape} vs {x.shape}")
         if x.size == 0:
             return
-        if np.isnan(x).any():
-            raise SketchError("cannot accumulate NaN values")
+        if not np.isfinite(x).all():
+            raise SketchError("cannot accumulate NaN or infinite values")
         if rows.size and (rows.min() < 0 or rows.max() >= self._size):
             raise SketchError(
                 f"row index out of range [0, {self._size})")

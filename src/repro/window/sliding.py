@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.cascade import ThresholdCascade
-from ..core.params import normalize_q
+from ..core.params import check_q
 from ..core.sketch import MomentsSketch
 from ..core.solver import SolverConfig
 from ..store import PackedSketchStore
@@ -129,13 +129,9 @@ class TurnstileWindowProcessor:
         return self.store.batch_merge(
             np.arange(position, position + self.window_panes))
 
-    def query(self, threshold: float, q: float | None = None, *,
-              phi: float | None = None) -> WindowQueryResult:
-        """Find all windows with ``quantile(q) > threshold``.
-
-        The ``phi=`` keyword is deprecated in favor of ``q``.
-        """
-        q = normalize_q(q, phi, default=0.99)
+    def query(self, threshold: float, q: float = 0.99) -> WindowQueryResult:
+        """Find all windows with ``quantile(q) > threshold``."""
+        q = check_q(q)
         alerts: list[WindowAlert] = []
         w = self.window_panes
         merge_seconds = 0.0
@@ -174,13 +170,9 @@ class TurnstileWindowProcessor:
 
 
 def remerge_windows(pane_summaries: Sequence[QuantileSummary], window_panes: int,
-                    threshold: float, q: float | None = None, *,
-                    phi: float | None = None) -> WindowQueryResult:
-    """Baseline for non-subtractable summaries: re-merge every window.
-
-    The ``phi=`` keyword is deprecated in favor of ``q``.
-    """
-    q = normalize_q(q, phi, default=0.99)
+                    threshold: float, q: float = 0.99) -> WindowQueryResult:
+    """Baseline for non-subtractable summaries: re-merge every window."""
+    q = check_q(q)
     if len(pane_summaries) < window_panes:
         raise ValueError("not enough panes for one window")
     alerts: list[WindowAlert] = []
@@ -206,9 +198,9 @@ def remerge_windows(pane_summaries: Sequence[QuantileSummary], window_panes: int
 
 
 def remerge_windows_packed(panes: Sequence[Pane], window_panes: int,
-                           threshold: float, q: float | None = None,
-                           config: SolverConfig | None = None, *,
-                           phi: float | None = None) -> WindowQueryResult:
+                           threshold: float, q: float = 0.99,
+                           config: SolverConfig | None = None
+                           ) -> WindowQueryResult:
     """Re-merge strategy over a packed pane ring: one reduction per window.
 
     The same plan as :func:`remerge_windows` (re-merge all ``w`` panes at
@@ -216,10 +208,8 @@ def remerge_windows_packed(panes: Sequence[Pane], window_panes: int,
     with the pane ring packed columnar so each window's merge is a single
     ``batch_merge`` reduction.  Alerts match the loop-based re-merge
     exactly: the merged sketches are bit-for-bit identical.
-
-    The ``phi=`` keyword is deprecated in favor of ``q``.
     """
-    q = normalize_q(q, phi, default=0.99)
+    q = check_q(q)
     if window_panes < 1:
         raise ValueError("window must span at least one pane")
     if len(panes) < window_panes:

@@ -30,6 +30,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..core.cascade import ThresholdCascade
+from ..core.errors import QueryError
+from ..core.params import check_q
 from ..core.sketch import MomentsSketch
 from ..core.solver import SolverConfig
 from ..store import PackedSketchStore
@@ -80,7 +82,9 @@ class StreamingWindowMonitor:
         self.pane_size = int(pane_size)
         self.window_panes = int(window_panes)
         self.threshold = float(threshold)
-        self.phi = float(phi)
+        if np.isnan(self.threshold):
+            raise QueryError("threshold must not be NaN")
+        self.phi = check_q(phi)
         self.k = int(k)
         self.on_alert = on_alert
         self.config = config or SolverConfig()

@@ -3,9 +3,8 @@
 from .cells import (PHI_GRID, CellSet, PackedCellSet, build_cells,
                     build_packed_cells, ingest_packed_cells, mean_error,
                     merge_cells, quantile_errors)
-from .runner import (GroupQueryTiming, QueryTiming, run_group_query,
-                     run_packed_query, run_query, time_estimation,
-                     time_merges)
+from .runner import (QueryTiming, run_packed_query, run_query,
+                     time_estimation, time_merges)
 from .calibrate import CalibrationResult, calibrate, calibrate_all, parameter_ladders
 from .parallel import (ParallelMergeResult, parallel_merge,
                        parallel_merge_packed, strong_scaling, weak_scaling)
@@ -13,8 +12,7 @@ from .parallel import (ParallelMergeResult, parallel_merge,
 __all__ = [
     "PHI_GRID", "CellSet", "PackedCellSet", "build_cells",
     "build_packed_cells", "ingest_packed_cells", "mean_error", "merge_cells",
-    "quantile_errors", "GroupQueryTiming", "QueryTiming", "run_query",
-    "run_group_query", "run_packed_query",
+    "quantile_errors", "QueryTiming", "run_query", "run_packed_query",
     "time_estimation", "time_merges", "CalibrationResult", "calibrate",
     "calibrate_all", "parameter_ladders", "ParallelMergeResult",
     "parallel_merge", "parallel_merge_packed", "strong_scaling",

@@ -117,51 +117,6 @@ def run_packed_query(cells: PackedCellSet, phis: np.ndarray = PHI_GRID,
     )
 
 
-@dataclass(frozen=True)
-class GroupQueryTiming:
-    """Measured decomposition of one high-cardinality group-by query."""
-
-    num_groups: int
-    merge_seconds: float
-    solve_seconds: float
-    solve_calls: int
-    solve_route: str
-
-    @property
-    def total_seconds(self) -> float:
-        return self.merge_seconds + self.solve_seconds
-
-
-def run_group_query(cells: PackedCellSet, q: float = 0.99,
-                    num_cells: int | None = None) -> GroupQueryTiming:
-    """Group-by over packed cells (one group per cell), timed per phase.
-
-    Every group's max-entropy solve runs in one stacked Newton pass of
-    the batched estimation layer; the returned timing carries
-    ``solve_route``/``solve_calls`` so scripts can report the split.
-    """
-    from ..api import PackedStoreBackend, QuerySpec, QueryService
-
-    n = cells.num_cells if num_cells is None else min(num_cells,
-                                                      cells.num_cells)
-    if n == 0:
-        raise ValueError("no cells to query")
-    rows = np.arange(n)
-    backend = PackedStoreBackend(cells.store, keys=[(int(i),)
-                                                    for i in range(cells.num_cells)],
-                                 dimensions=("cell",), config=cells.config,
-                                 rows=rows)
-    service = QueryService(cells=backend)
-    response = service.execute(QuerySpec(kind="group_by", quantiles=(q,),
-                                         group_dimension="cell"))
-    timings = response.timings
-    return GroupQueryTiming(num_groups=len(response.groups or {}),
-                            merge_seconds=timings.merge_seconds,
-                            solve_seconds=timings.solve_seconds,
-                            solve_calls=timings.solve_calls,
-                            solve_route=timings.solve_route)
-
-
 def time_merges(cells: CellSet, repeats: int = 1) -> float:
     """Average seconds per merge over the cell set (Figure 4's metric)."""
     total = 0.0

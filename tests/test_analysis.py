@@ -90,8 +90,7 @@ def test_telemetry_guard_fixture():
 
 def test_api_hygiene_fixture():
     assert run_fixture("api_cases.py", ApiHygieneChecker) == [
-        (11, "API001"),    # deprecated phi= call site
-        (28, "API002"),    # bare ValueError in a taxonomy module
+        (11, "API002"),    # bare ValueError in a taxonomy module
     ]
 
 
@@ -122,7 +121,7 @@ def test_rule_catalogue_unique_and_complete():
     assert len(ids) == len(set(ids))
     assert set(ids) >= {
         "PARSE001", "LOCK001", "LOCK002", "DET001", "DET002", "DET003",
-        "TEL001", "TEL002", "API001", "API002",
+        "TEL001", "TEL002", "API002",
     }
 
 
@@ -218,33 +217,34 @@ def test_cli_rules_catalogue():
 
 
 def test_cli_lint_reports_findings_as_json(tmp_path):
-    # Under the default config the api fixture still trips API001 (the
-    # phi= rule applies to every call site).
+    # Under the default config the telemetry fixture still trips its
+    # guard rules (TEL001/TEL002 apply to every non-exempt module).
     out = tmp_path / "findings.json"
-    proc = _run_cli(str(FIXTURES / "api_cases.py"),
+    proc = _run_cli(str(FIXTURES / "telemetry_cases.py"),
                     "--format", "json", "--output", str(out))
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert doc["files_checked"] == 1
-    assert [f["rule"] for f in doc["findings"]] == ["API001"]
+    assert [f["rule"] for f in doc["findings"]] == [
+        "TEL001", "TEL002", "TEL002"]
     assert json.loads(out.read_text(encoding="utf-8")) == doc
 
 
 def test_cli_update_baseline_then_clean(tmp_path):
     baseline = tmp_path / "baseline.json"
-    proc = _run_cli(str(FIXTURES / "api_cases.py"),
+    proc = _run_cli(str(FIXTURES / "telemetry_cases.py"),
                     "--update-baseline", "--baseline", str(baseline))
     assert proc.returncode == 0
-    proc = _run_cli(str(FIXTURES / "api_cases.py"),
+    proc = _run_cli(str(FIXTURES / "telemetry_cases.py"),
                     "--baseline", str(baseline), "--format", "json")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["findings"] == []
-    assert doc["suppressed_by_baseline"] == 1
+    assert doc["suppressed_by_baseline"] == 3
 
 
 def test_cli_update_baseline_requires_path():
-    proc = _run_cli(str(FIXTURES / "api_cases.py"), "--update-baseline")
+    proc = _run_cli(str(FIXTURES / "telemetry_cases.py"), "--update-baseline")
     assert proc.returncode == 2
 
 

@@ -10,7 +10,7 @@ from repro.api import (Backend, QueryResponse, QueryService, QuerySpec,
                        QueryTimings, SummariesBackend, WindowSpec, as_backend,
                        execute, plan, qkey)
 from repro.core.errors import QueryError
-from repro.core.params import normalize_q
+from repro.core.params import check_q
 from repro.datacube import CubeSchema, DataCube
 from repro.druid import DruidEngine, MomentsSketchAggregator, registry
 from repro.store import PackedSketchStore
@@ -131,6 +131,44 @@ class TestQuerySpec:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(QueryError):
             QuerySpec.from_dict({"kind": "quantile", "frobnicate": 1})
+        # The old 'phi' alias of 'q' is an unknown field like any other.
+        with pytest.raises(QueryError, match="phi"):
+            QuerySpec.from_dict({"kind": "quantile", "phi": 0.9})
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"quantiles": "0.5"}, "quantiles"),
+        ({"quantiles": 0.5}, "quantiles"),
+        ({"q": "high"}, "quantiles"),
+        ({"q": None}, "quantiles"),
+        ({"kind": "cdf", "t": "x"}, "thresholds"),
+        ({"kind": "cdf", "thresholds": 5}, "thresholds"),
+        ({"interval": [1]}, "interval"),
+        ({"interval": [0, 1, 2]}, "interval"),
+        ({"interval": "ab"}, "interval"),
+        ({"filters": [1, 2]}, "filters"),
+        ({"filters": "d"}, "filters"),
+        ({"filters": {"d": [1, 2]}}, "filter value"),
+        ({"kind": "top_n", "group_dimension": "d", "n": 2.7}, "n"),
+        ({"kind": "top_n", "group_dimension": "d", "n": "3"}, "n"),
+        ({"kind": "top_n", "group_dimension": "d", "n": True}, "n"),
+        ({"group_dimension": ["d"]}, "group_dimension"),
+        ({"measure": 3}, "measure"),
+        ({"cascade_stages": 5}, "cascade_stages"),
+        ({"cascade_stages": [["simple"]]}, "cascade stages"),
+        ({"kind": "windowed", "t": 1.0, "window": {}}, "window_panes"),
+        ({"kind": "windowed", "t": 1.0, "window": {"strategy": "remerge"}},
+         "window_panes"),
+        ({"kind": "windowed", "t": 1.0, "window": {"window_panes": "4"}},
+         "window_panes"),
+        ({"kind": "windowed", "t": 1.0, "window": [4]}, "window_panes"),
+        ({"kind": "windowed", "t": 1.0,
+          "window": {"window_panes": 4, "size": 2}}, "window fields"),
+    ])
+    def test_from_dict_malformed_fields_raise_query_error(self, payload,
+                                                          field):
+        payload = {"kind": "quantile", **payload}
+        with pytest.raises(QueryError, match=field):
+            QuerySpec.from_dict(payload)
 
     def test_qkey_distinguishes_close_floats(self):
         assert qkey(0.1234561) != qkey(0.1234562)
@@ -144,24 +182,13 @@ class TestQuerySpec:
         assert a.scan_signature() != c.scan_signature()
 
 
-class TestNormalizeQ:
-    def test_phi_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            assert normalize_q(phi=0.9) == 0.9
-
-    def test_q_and_phi_conflict(self):
-        with pytest.raises(QueryError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            normalize_q(q=0.5, phi=0.9)
-
-    def test_default_applies(self):
-        assert normalize_q(default=0.5) == 0.5
-        with pytest.raises(QueryError):
-            normalize_q()
-
+class TestCheckQ:
     def test_range_checked(self):
-        with pytest.raises(QueryError):
-            normalize_q(q=1.0)
+        assert check_q(0.9) == 0.9
+        assert check_q(np.float32(0.5)) == 0.5
+        for bad in (0.0, 1.0, 1.5, -0.1, float("nan"), None, "0.5", True):
+            with pytest.raises(QueryError):
+                check_q(bad)
 
 
 class TestExecuteKinds:
@@ -196,25 +223,37 @@ class TestExecuteKinds:
         outcome = next(iter(response.groups.values()))[qkey(t)]
         assert set(outcome) == {"exceeds", "stage"}
 
-    def test_group_by_matches_legacy(self, engine, dataset):
-        values, country, version = dataset
+    def test_group_by_matches_legacy(self, engine):
+        # The legacy plan: merge each group's states, then finalize each
+        # group with its own scalar solve.
         response = QueryService(druid=engine).execute(QuerySpec(
             kind="group_by", quantiles=(0.9,), measure="momentsSketch@10",
             group_dimension="country"))
-        legacy = engine.group_by("momentsSketch@10", "country", 0.9)
+        legacy = {value: state.finalize(q=0.9) for value, state in
+                  engine.group_states("momentsSketch@10", "country").items()}
         assert set(response.groups) == set(legacy)
         for value, payload in response.groups.items():
-            assert payload[qkey(0.9)] == legacy[value]
+            assert payload[qkey(0.9)] == pytest.approx(legacy[value],
+                                                       rel=1e-6)
 
     def test_top_n_identical_to_legacy(self, engine):
-        from repro.druid import top_n_by_quantile
-        response = QueryService(druid=engine).execute(QuerySpec(
+        # Bound pruning must not change the ranking of an unpruned scan
+        # that scores every group.
+        service = QueryService(druid=engine)
+        response = service.execute(QuerySpec(
             kind="top_n", quantiles=(0.99,), n=3,
             measure="momentsSketch@10", group_dimension="version"))
-        legacy = top_n_by_quantile(engine, "momentsSketch@10", "version",
-                                   n=3, q=0.99)
-        assert response.top == legacy
-        assert response.value == legacy[0][1]
+        every_group = service.execute(QuerySpec(
+            kind="group_by", quantiles=(0.99,),
+            measure="momentsSketch@10", group_dimension="version"))
+        legacy = sorted(((value, payload[qkey(0.99)])
+                         for value, payload in every_group.groups.items()),
+                        key=lambda pair: pair[1], reverse=True)[:3]
+        assert [value for value, _ in response.top] \
+            == [value for value, _ in legacy]
+        for (_, estimate), (_, expected) in zip(response.top, legacy):
+            assert estimate == pytest.approx(expected, rel=1e-9)
+        assert response.value == response.top[0][1]
 
     def test_windowed_matches_remerge(self, dataset):
         values, *_ = dataset
@@ -359,50 +398,40 @@ class TestBatchedExecution:
 
 
 class TestLegacyShims:
-    def test_druid_query_routes_through_api(self, engine):
-        spec = QuerySpec(kind="quantile", quantiles=(0.99,),
-                         measure="momentsSketch@10")
-        via_api = QueryService(druid=engine).execute(spec)
-        legacy = engine.query("momentsSketch@10", 0.99)
-        assert legacy.value == via_api.value
-        assert legacy.cells_scanned == via_api.cells_scanned
+    """What the removed engine-level query shims promised, asserted on
+    the one query surface that replaced them."""
 
-    def test_druid_timing_fields_consistent(self, engine, dataset):
-        values, country, version = dataset
-        packed = engine.query("momentsSketch@10", 0.9)
-        loop = engine.query("S-Hist@100", 0.9)
-        for result in (packed, loop):
-            assert result.planner_seconds >= 0
-            assert result.merge_seconds > 0
-            assert result.finalize_seconds > 0
-            assert result.solve_seconds == result.finalize_seconds
-            assert result.total_seconds == pytest.approx(
-                result.planner_seconds + result.merge_seconds
-                + result.finalize_seconds)
+    def test_druid_timing_fields_consistent(self, engine):
+        service = QueryService(druid=engine)
+        for measure, route in (("momentsSketch@10", "packed"),
+                               ("S-Hist@100", "loop")):
+            result = service.execute(QuerySpec(
+                kind="quantile", quantiles=(0.9,), measure=measure))
+            timings = result.timings
+            assert result.route == route
+            assert result.cells_scanned == engine.num_cells
+            assert timings.planner_seconds >= 0
+            assert timings.merge_seconds > 0
+            assert timings.solve_seconds > 0
+            assert timings.total_seconds == pytest.approx(
+                timings.planner_seconds + timings.merge_seconds
+                + timings.solve_seconds)
 
-    def test_cube_quantile_routes_through_api(self, cube):
-        spec = QuerySpec(kind="quantile", quantiles=(0.95,),
-                         filters={"country": "CA"})
-        via_api = QueryService(cube=cube).execute(spec)
-        assert cube.quantile(0.95, {"country": "CA"}) == via_api.value
-
-    def test_cube_quantile_updates_last_merge_count(self, cube):
+    def test_cube_quantile_reports_cells_scanned(self, cube):
         ca_cells = sum(1 for key, _ in cube.matching_cells({"country": "CA"}))
-        cube.quantile(0.5, {"country": "CA"})
-        assert cube.last_merge_count == ca_cells
-        cube.quantile(0.5)
-        assert cube.last_merge_count == cube.num_cells
-
-    def test_deprecated_phi_keyword_warns(self, cube, engine):
-        with pytest.warns(DeprecationWarning):
-            cube.quantile(phi=0.5)
-        with pytest.warns(DeprecationWarning):
-            engine.query("momentsSketch@10", phi=0.5)
+        service = QueryService(cube=cube)
+        response = service.execute(QuerySpec(
+            kind="quantile", quantiles=(0.5,), filters={"country": "CA"}))
+        assert response.cells_scanned == ca_cells
+        assert service.execute(QuerySpec(kind="quantile")).cells_scanned \
+            == cube.num_cells
+        _, profile = cube.rollup_profiled({"country": "CA"})
+        assert profile["cells_scanned"] == ca_cells
 
     def test_canonical_q_keyword_is_silent(self, cube):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cube.quantile(q=0.5)
+            QueryService(cube=cube).execute({"kind": "quantile", "q": 0.5})
 
 
 class TestBackendsAndPlanner:

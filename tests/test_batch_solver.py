@@ -314,24 +314,44 @@ class TestCascadeBatch:
 
 
 class TestCascadeQRename:
-    def test_phi_keyword_deprecated(self):
+    def test_phi_keyword_removed(self):
         sketch = MomentsSketch.from_data([1.0, 2.0, 3.0, 10.0], k=5)
         cascade = ThresholdCascade(config=CONFIG)
-        with pytest.warns(DeprecationWarning):
-            legacy = cascade.threshold(sketch, 5.0, phi=0.9)
+        for call in (cascade.threshold, cascade.evaluate):
+            with pytest.raises(TypeError):
+                call(sketch, 5.0, phi=0.9)
+        with pytest.raises(TypeError):
+            cascade.evaluate_batch([sketch], 5.0, phi=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            canonical = cascade.threshold(sketch, 5.0, 0.9)
-        assert legacy == canonical
+            assert cascade.threshold(sketch, 5.0, 0.9) \
+                == cascade.evaluate(sketch, 5.0, q=0.9).result
 
     def test_phi_and_q_together_rejected(self):
+        sketch = MomentsSketch.from_data([1.0, 2.0], k=4)
+        with pytest.raises(TypeError):
+            ThresholdCascade(config=CONFIG).evaluate(
+                sketch, 1.5, 0.5, phi=0.5)
+
+    def test_q_outside_unit_interval_rejected(self):
+        # Without the check, evaluate(s, t, 1.5) would answer "exceeds".
         from repro.core.errors import QueryError
         sketch = MomentsSketch.from_data([1.0, 2.0], k=4)
-        with pytest.raises(QueryError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ThresholdCascade(config=CONFIG).evaluate(
-                    sketch, 1.5, 0.5, phi=0.5)
+        cascade = ThresholdCascade(config=CONFIG)
+        for q in (0.0, 1.0, 1.5, float("nan"), None):
+            with pytest.raises(QueryError):
+                cascade.evaluate(sketch, 1.5, q)
+            with pytest.raises(QueryError):
+                cascade.threshold(sketch, 1.5, q)
+            with pytest.raises(QueryError):
+                cascade.evaluate_batch([sketch, sketch], 1.5, q)
+
+
+def cube_groups(cube, dimension="g"):
+    """The merged per-group summaries a group query over ``cube`` solves."""
+    from repro.api import CubeBackend, QuerySpec
+    spec = QuerySpec(kind="group_by", group_dimension=dimension)
+    return CubeBackend(cube).group_rollup(spec).groups
 
 
 def reference_quantiles(groups, qs):
@@ -372,7 +392,7 @@ class TestServiceBatchedRouting:
         response = QueryService(cube=cube).execute(spec)
         assert response.timings.solve_route == "batched"
         assert response.timings.solve_calls == 1
-        reference = reference_quantiles(cube.group_by("g"), [0.9])
+        reference = reference_quantiles(cube_groups(cube), [0.9])
         assert set(response.groups) == set(reference)
         for group, estimates in reference.items():
             assert response.groups[group][qkey(0.9)] == pytest.approx(
@@ -385,7 +405,7 @@ class TestServiceBatchedRouting:
         spec = QuerySpec(kind="top_n", quantiles=(q,), n=n,
                          group_dimension="g")
         response = QueryService(cube=cube).execute(spec)
-        groups = cube.group_by("g")
+        groups = cube_groups(cube)
         brackets = {g: _quantile_bracket(summary.sketch, q, rtt_bound)
                     for g, summary in groups.items()}
         cutoff = sorted((lo for lo, _ in brackets.values()), reverse=True)[n - 1]
@@ -408,7 +428,7 @@ class TestServiceBatchedRouting:
         response = service.execute(spec)
         cascade = ThresholdCascade(config=service.config)
         outcomes = {g: cascade.evaluate(summary.sketch, t, 0.99)
-                    for g, summary in cube.group_by("g").items()}
+                    for g, summary in cube_groups(cube).items()}
         assert response.value == sum(o.result for o in outcomes.values())
         assert {g: (o[qkey(t)]["exceeds"], o[qkey(t)]["stage"])
                 for g, o in response.groups.items()} \
@@ -480,10 +500,12 @@ class TestServiceBatchedRouting:
         assert again.timings.solve_calls == 1
 
     def test_group_quantiles_one_call(self, cube):
-        from repro.api import qkey
-        groups = cube.group_quantiles("g", (0.5, 0.99))
-        assert len(groups) == 40
-        for payload in groups.values():
+        from repro.api import QueryService, QuerySpec, qkey
+        response = QueryService(cube=cube).execute(QuerySpec(
+            kind="group_by", quantiles=(0.5, 0.99), group_dimension="g"))
+        assert len(response.groups) == 40
+        assert response.timings.solve_calls == 1
+        for payload in response.groups.values():
             assert payload[qkey(0.5)] <= payload[qkey(0.99)]
 
 

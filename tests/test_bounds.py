@@ -59,6 +59,8 @@ class TestMarkovBound:
         assert below.lower == 0.0 and below.upper == 0.0
         above = markov_bound(sketch, float(data_sorted[-1]) + 1.0)
         assert above.lower == n and above.upper == n
+        assert markov_bound(sketch, -np.inf).upper == 0.0
+        assert markov_bound(sketch, np.inf).lower == n
 
     def test_bounds_ordered_and_within_count(self, dataset):
         _, data_sorted, sketch = dataset
@@ -95,6 +97,8 @@ class TestRTTBound:
         _, data_sorted, sketch = dataset
         assert rtt_bound(sketch, float(data_sorted[0]) - 1.0).upper == 0.0
         assert rtt_bound(sketch, float(data_sorted[-1]) + 1.0).lower == sketch.count
+        assert rtt_bound(sketch, -np.inf).upper == 0.0
+        assert rtt_bound(sketch, np.inf).lower == sketch.count
 
     def test_degenerate_data_falls_back_to_markov(self):
         # Two distinct values: the Hankel system is singular; the bound
@@ -122,3 +126,33 @@ class TestErrorBound:
         _, _, sketch = dataset
         with pytest.raises(BoundError):
             quantile_error_bound(sketch, 0.0, 1.5)
+
+
+class TestNaNThresholds:
+    """A NaN threshold has no rank: every bound entry point raises the
+    typed error instead of LAPACK's, and the batch forms are the one
+    place that checks."""
+
+    SKETCH = MomentsSketch.from_data(
+        np.random.default_rng(3).lognormal(0.0, 1.0, 2000), k=8)
+
+    def test_scalar_and_batch_bounds_raise(self):
+        from repro.core.bounds import markov_bound_batch, rtt_bound_batch
+        from repro.core.sketch import ColumnarMoments
+        block = ColumnarMoments.from_sketches([self.SKETCH, self.SKETCH])
+        nan = float("nan")
+        for call in (lambda: markov_bound(self.SKETCH, nan),
+                     lambda: rtt_bound(self.SKETCH, nan),
+                     lambda: quantile_error_bound(self.SKETCH, nan, 0.5),
+                     lambda: markov_bound_batch(block, nan),
+                     lambda: rtt_bound_batch(block, np.array([1.0, nan]))):
+            with pytest.raises(BoundError, match="NaN"):
+                call()
+
+    def test_cascade_raises(self):
+        from repro.core.cascade import ThresholdCascade
+        cascade = ThresholdCascade()
+        with pytest.raises(BoundError):
+            cascade.evaluate(self.SKETCH, float("nan"), 0.9)
+        with pytest.raises(BoundError):
+            cascade.evaluate_batch([self.SKETCH], float("nan"), 0.9)

@@ -81,24 +81,33 @@ class TestSketchCommands:
             main(["sketch", "query", str(sketch_file), "--batched"])
         assert exc.value.code == 2
 
-    def test_query_q_flag_matches_phi(self, sketch_file, capsys):
-        code, via_q = run_cli(capsys, "sketch", "query", str(sketch_file),
-                              "--q", "0.5", "0.9")
-        assert code == 0
-        with pytest.warns(DeprecationWarning):
-            code, via_phi = run_cli(capsys, "sketch", "query",
-                                    str(sketch_file), "--phi", "0.5", "0.9")
-        assert code == 0
-        assert via_q == via_phi
+    def test_spec_rejects_q_and_t_flags(self, sketch_file):
+        spec = '{"kind": "quantile", "quantiles": [0.5]}'
+        for argv in (["query", "--spec", spec, "--q", "0.9"],
+                     ["threshold", "--spec", spec, "--q", "0.9"],
+                     ["threshold", "--spec", spec, "--t", "5"],
+                     ["bounds", "--spec", spec, "--t", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["sketch", argv[0], str(sketch_file), *argv[1:]])
+            assert exc.value.code == 2
 
-    def test_query_rejects_q_and_phi_together(self, sketch_file, capsys):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, result = run_cli(capsys, "sketch", "query",
-                                   str(sketch_file),
-                                   "--q", "0.5", "--phi", "0.9")
-        assert code == 1 and "error" in result
+    def test_threshold_q_is_single_valued(self, sketch_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", "threshold", str(sketch_file), "--t", "5",
+                  "--q", "0.5", "0.9"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "quantile", "quantiles": "0.5"}',
+        '{"kind": "quantile", "phi": 0.5}',
+        '{"kind": "cdf", "t": "x"}',
+        '{"kind": "quantile", "filters": [1, 2]}',
+    ])
+    def test_malformed_spec_is_query_error(self, sketch_file, capsys, spec):
+        code, result = run_cli(capsys, "sketch", "query", str(sketch_file),
+                               "--spec", spec)
+        assert code == 1
+        assert result["error"].startswith("QueryError: ")
 
     def test_query_spec_emits_query_response(self, sketch_file, capsys):
         code, result = run_cli(

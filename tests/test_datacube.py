@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.api import CubeBackend, QueryService, QuerySpec
 from repro.core.errors import QueryError
 from repro.datacube import CubeSchema, DataCube
 from repro.summaries import ExactSummary, MomentsSummary
+
+
+def group_by(cube, dimension, filters=None):
+    """Merged summary per value of ``dimension`` (the cube's group scan)."""
+    spec = QuerySpec(kind="group_by", group_dimension=dimension,
+                     filters=filters or {})
+    return CubeBackend(cube).group_rollup(spec).groups
 
 
 @pytest.fixture()
@@ -73,9 +81,9 @@ class TestRollup:
         values = rng.normal(0, 1, n)
         cube = DataCube(CubeSchema(("d",)), ExactSummary)
         cube.ingest([dim], values)
-        rolled = cube.rollup()
+        rolled, profile = cube.rollup_profiled()
         assert rolled.quantile(0.5) == pytest.approx(np.quantile(values, 0.5), abs=1e-3)
-        assert cube.last_merge_count == cube.num_cells
+        assert profile["cells_scanned"] == cube.num_cells
 
     def test_filtered_rollup(self, populated_cube):
         cube, country, version, values = populated_cube
@@ -88,6 +96,17 @@ class TestRollup:
         cube.rollup()
         assert {k: cell.count for k, cell in cube.cells.items()} == counts_before
 
+    @pytest.mark.parametrize("backend", ["packed", "dict"])
+    def test_infinite_values_rejected_cells_stay_queryable(self, backend):
+        from repro.core.errors import SketchError
+        cube = DataCube(CubeSchema(("d",)), lambda: MomentsSummary(k=6),
+                        backend=backend)
+        cube.ingest([np.array(["a", "a", "b"])], np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(SketchError):
+            cube.ingest([np.array(["a"])], np.array([np.inf]))
+        assert cube.rollup().count == 3
+        assert np.isfinite(cube.rollup().quantile(0.5))
+
     def test_empty_filter_result_rejected(self, populated_cube):
         cube, *_ = populated_cube
         with pytest.raises(QueryError):
@@ -95,7 +114,9 @@ class TestRollup:
 
     def test_quantile_convenience(self, populated_cube):
         cube, country, version, values = populated_cube
-        estimate = cube.quantile(0.99, {"country": "CA"})
+        estimate = QueryService(cube=cube).execute(QuerySpec(
+            kind="quantile", quantiles=(0.99,),
+            filters={"country": "CA"})).value
         truth = np.quantile(values[country == "CA"], 0.99)
         assert estimate == pytest.approx(truth, rel=0.15)
 
@@ -103,17 +124,17 @@ class TestRollup:
 class TestGroupBy:
     def test_groups_cover_dimension_values(self, populated_cube):
         cube, country, version, _ = populated_cube
-        groups = cube.group_by("version")
+        groups = group_by(cube, "version")
         assert set(groups) == set(np.unique(version))
 
     def test_group_counts_partition(self, populated_cube):
         cube, country, version, values = populated_cube
-        groups = cube.group_by("country")
+        groups = group_by(cube, "country")
         assert sum(g.count for g in groups.values()) == values.size
 
     def test_group_by_with_filter(self, populated_cube):
         cube, country, version, values = populated_cube
-        groups = cube.group_by("version", {"country": "US"})
+        groups = group_by(cube, "version", {"country": "US"})
         mask = country == "US"
         for v, summary in groups.items():
             assert summary.count == int(np.sum(mask & (version == v)))
@@ -149,13 +170,15 @@ class TestPackedBackend:
         assert packed.num_cells == plain.num_cells
         for filters in (None, {"country": "US"},
                         {"country": "CA", "version": 2}):
-            a = packed.rollup(filters).sketch
-            b = plain.rollup(filters).sketch
+            a, packed_profile = packed.rollup_profiled(filters)
+            b, plain_profile = plain.rollup_profiled(filters)
+            a, b = a.sketch, b.sketch
             assert a.count == b.count
             assert np.array_equal(a.power_sums, b.power_sums)
             assert np.array_equal(a.log_sums, b.log_sums)
             assert a.min == b.min and a.max == b.max
-            assert packed.last_merge_count == plain.last_merge_count
+            assert packed_profile["cells_scanned"] \
+                == plain_profile["cells_scanned"]
 
     def test_packed_group_by_matches_dict_backend(self):
         rng = np.random.default_rng(6)
@@ -167,8 +190,8 @@ class TestPackedBackend:
         plain = DataCube(CubeSchema(("d",)), factory, backend="dict")
         packed.ingest([dim], values)
         plain.ingest([dim], values)
-        packed_groups = packed.group_by("d")
-        plain_groups = plain.group_by("d")
+        packed_groups = group_by(packed, "d")
+        plain_groups = group_by(plain, "d")
         assert set(packed_groups) == set(plain_groups)
         for key in plain_groups:
             assert np.array_equal(packed_groups[key].sketch.power_sums,

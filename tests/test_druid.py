@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryService, QuerySpec, qkey
 from repro.core.errors import QueryError
 from repro.druid import (
     DoubleSumAggregator,
@@ -11,6 +12,22 @@ from repro.druid import (
     StreamingHistogramAggregator,
     registry,
 )
+
+
+def query(engine, measure, q=0.5, filters=None, interval=None):
+    """One ``quantile`` query over ``measure`` (``sum`` ignores ``q``)."""
+    return QueryService(druid=engine).execute(QuerySpec(
+        kind="quantile", quantiles=(q,), measure=measure,
+        filters=filters or {}, interval=interval))
+
+
+def group_by(engine, measure, dimension, q=0.5):
+    """Finalized ``measure`` per value of ``dimension`` (Druid groupBy)."""
+    response = QueryService(druid=engine).execute(QuerySpec(
+        kind="group_by", quantiles=(q,), measure=measure,
+        group_dimension=dimension))
+    return {value: payload[qkey(q)]
+            for value, payload in response.groups.items()}
 
 
 @pytest.fixture(scope="module")
@@ -48,56 +65,56 @@ class TestIngestion:
 class TestQueries:
     def test_sum_query_exact(self, engine):
         *_, values = engine._test_data
-        result = engine.query("sum")
+        result = query(engine, "sum")
         assert result.value == pytest.approx(values.sum(), rel=1e-9)
         assert result.cells_scanned == engine.num_cells
 
     def test_quantile_query_accuracy(self, engine):
         *_, values = engine._test_data
-        result = engine.query("momentsSketch@10", q=0.99)
+        result = query(engine, "momentsSketch@10", q=0.99)
         truth = np.quantile(values, 0.99)
         assert result.value == pytest.approx(truth, rel=0.1)
 
     def test_histogram_aggregator_answers(self, engine):
         *_, values = engine._test_data
-        result = engine.query("S-Hist@100", q=0.5)
+        result = query(engine, "S-Hist@100", q=0.5)
         assert result.value == pytest.approx(np.quantile(values, 0.5), rel=0.2)
 
     def test_filtered_query(self, engine):
         timestamps, grid, country, values = engine._test_data
-        result = engine.query("sum", filters={"country": "US"})
+        result = query(engine, "sum", filters={"country": "US"})
         assert result.value == pytest.approx(values[country == "US"].sum(), rel=1e-9)
 
     def test_interval_query(self, engine):
         timestamps, grid, country, values = engine._test_data
-        result = engine.query("sum", interval=(0.0, 6 * 3600 - 1e-6))
+        result = query(engine, "sum", interval=(0.0, 6 * 3600 - 1e-6))
         mask = timestamps < 6 * 3600
         assert result.value == pytest.approx(values[mask].sum(), rel=1e-9)
 
     def test_unknown_aggregator_rejected(self, engine):
         with pytest.raises(QueryError):
-            engine.query("hyperloglog")
+            query(engine, "hyperloglog")
 
     def test_unknown_dimension_rejected(self, engine):
         with pytest.raises(QueryError):
-            engine.query("sum", filters={"planet": "earth"})
+            query(engine, "sum", filters={"planet": "earth"})
 
     def test_no_matching_cells_rejected(self, engine):
         with pytest.raises(QueryError):
-            engine.query("sum", filters={"country": "ZZ"})
+            query(engine, "sum", filters={"country": "ZZ"})
 
     def test_group_by(self, engine):
         timestamps, grid, country, values = engine._test_data
-        groups = engine.group_by("sum", "country")
+        groups = group_by(engine, "sum", "country")
         for name in np.unique(country):
             assert groups[name] == pytest.approx(values[country == name].sum(),
                                                  rel=1e-9)
 
     def test_single_thread_matches_threaded(self, engine):
-        threaded = engine.query("momentsSketch@10", q=0.9)
+        threaded = query(engine, "momentsSketch@10", q=0.9)
         engine.processing_threads = 1
         try:
-            single = engine.query("momentsSketch@10", q=0.9)
+            single = query(engine, "momentsSketch@10", q=0.9)
         finally:
             engine.processing_threads = 2
         assert single.value == pytest.approx(threaded.value, rel=1e-6)
@@ -164,15 +181,15 @@ class TestPackedMoments:
         packed, plain = engine_pair
         for kwargs in ({}, {"filters": {"country": "US"}},
                        {"interval": (0.0, 4 * 3600 - 1e-6)}):
-            a = packed.query("momentsSketch@8", q=0.95, **kwargs)
-            b = plain.query("momentsSketch@8", q=0.95, **kwargs)
+            a = query(packed, "momentsSketch@8", q=0.95, **kwargs)
+            b = query(plain, "momentsSketch@8", q=0.95, **kwargs)
             assert a.cells_scanned == b.cells_scanned
             assert a.value == pytest.approx(b.value, rel=1e-9)
 
     def test_group_by_matches_object_layout(self, engine_pair):
         packed, plain = engine_pair
-        a = packed.group_by("momentsSketch@8", "country", q=0.9)
-        b = plain.group_by("momentsSketch@8", "country", q=0.9)
+        a = group_by(packed, "momentsSketch@8", "country", q=0.9)
+        b = group_by(plain, "momentsSketch@8", "country", q=0.9)
         assert set(a) == set(b)
         for key in a:
             assert a[key] == pytest.approx(b[key], rel=1e-9)
@@ -186,9 +203,9 @@ class TestPackedMoments:
     def test_packed_query_no_match_rejected(self, engine_pair):
         packed, _ = engine_pair
         with pytest.raises(QueryError):
-            packed.query("momentsSketch@8", filters={"country": "ZZ"})
+            query(packed, "momentsSketch@8", filters={"country": "ZZ"})
 
     def test_sum_path_unaffected_by_packing(self, engine_pair):
         packed, plain = engine_pair
-        assert packed.query("sum").value == pytest.approx(
-            plain.query("sum").value, rel=1e-12)
+        assert query(packed, "sum").value == pytest.approx(
+            query(plain, "sum").value, rel=1e-12)

@@ -192,6 +192,19 @@ class TestIngestSession:
             session.append([("a", 1.0), ("b",)])
         assert session.pending_rows == 0
 
+    def test_infinite_values_rejected_at_flush(self):
+        from repro.core.errors import SketchError
+        cube = fresh_cube()
+        session = IngestSession(cube)
+        session.append_columns([1.0, 2.0], dims=[["x", "y"]])
+        session.flush()
+        session.append_columns([3.0, -np.inf], dims=[["x", "y"]])
+        with pytest.raises(SketchError):
+            session.flush()
+        response = QueryService(cube=cube).execute(
+            QuerySpec(kind="quantile", quantiles=(0.5,)))
+        assert response.count == 2 and np.isfinite(response.value)
+
     def test_closed_session_rejects_appends(self):
         session = IngestSession(fresh_cube())
         session.close()

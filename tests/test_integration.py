@@ -8,6 +8,7 @@ threshold answers, checked against exact computation on the raw rows.
 import numpy as np
 import pytest
 
+from repro.api import QueryService, QuerySpec
 from repro.core import MomentsSketch
 from repro.core.cascade import ThresholdCascade
 from repro.datacube import CubeSchema, DataCube
@@ -61,13 +62,16 @@ class TestDruidEndToEnd:
                       [rng.integers(0, 30, n), rng.choice(["US", "CA"], n)],
                       values)
         truth = float(np.quantile(values, 0.99))
-        moments = engine.query("momentsSketch@10", q=0.99)
-        histogram = engine.query("S-Hist@100", q=0.99)
+        service = QueryService(druid=engine)
+        moments, histogram = (
+            service.execute(QuerySpec(kind="quantile", quantiles=(0.99,),
+                                      measure=measure))
+            for measure in ("momentsSketch@10", "S-Hist@100"))
         assert moments.value == pytest.approx(truth, rel=0.15)
         assert histogram.value == pytest.approx(truth, rel=0.5)
         # The Figure 11 claim is about *time*: merging thousands of
         # histogram cells costs far more than merging moments sketches.
-        assert moments.merge_seconds < histogram.merge_seconds
+        assert moments.timings.merge_seconds < histogram.timings.merge_seconds
 
 
 class TestMacroBaseEndToEnd:

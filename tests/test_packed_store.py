@@ -176,6 +176,19 @@ class TestBatchAccumulate:
         with pytest.raises(SketchError):
             store.batch_accumulate([0], [np.nan])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinity_rejected_by_both_paths(self, bad):
+        store = PackedSketchStore(k=K, capacity=1)
+        store.new_row()
+        store.accumulate_row(0, [1.0, 2.0])
+        before = store.power_sums.copy()
+        with pytest.raises(SketchError):
+            store.accumulate_row(0, [3.0, bad])
+        with pytest.raises(SketchError):
+            store.batch_accumulate([0, 0], [3.0, bad])
+        assert np.array_equal(store.power_sums, before)
+        assert store.counts[0] == 2
+
     def test_misaligned_shapes_rejected(self):
         store = PackedSketchStore(k=K, capacity=1)
         store.new_row()

@@ -145,14 +145,14 @@ class TestCascadeProperties:
            st.floats(min_value=0.05, max_value=0.99),
            st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_cascade_agrees_with_maxent(self, position, phi, seed):
+    def test_cascade_agrees_with_maxent(self, position, q, seed):
         rng = np.random.default_rng(seed)
         data = rng.lognormal(0.0, 1.0, 2000)
         sketch = MomentsSketch.from_data(data, k=8)
         t = float(data.min() + position * (data.max() - data.min()))
         cascade = ThresholdCascade()
         bare = ThresholdCascade(enabled_stages=())
-        assert cascade.threshold(sketch, t, phi) == bare.threshold(sketch, t, phi)
+        assert cascade.threshold(sketch, t, q) == bare.threshold(sketch, t, q)
 
 
 class TestEncodingProperties:

@@ -76,6 +76,14 @@ class TestAccumulate:
         with pytest.raises(SketchError):
             sketch.accumulate([1.0, np.nan])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinity_rejected_and_sketch_untouched(self, bad):
+        sketch = MomentsSketch.from_data([1.0, 2.0], k=3)
+        before = sketch.to_bytes()
+        with pytest.raises(SketchError):
+            sketch.accumulate([3.0, bad])
+        assert sketch.to_bytes() == before
+
     def test_incremental_equals_bulk(self):
         rng = np.random.default_rng(2)
         data = rng.exponential(1.0, 300)

@@ -59,6 +59,16 @@ class TestIncrementalIngestion:
         with pytest.raises(ValueError):
             StreamingWindowMonitor(pane_size=10, window_panes=0, threshold=1.0)
 
+    def test_phi_and_nan_threshold_rejected_up_front(self):
+        from repro.core.errors import QueryError
+        for phi in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(QueryError):
+                StreamingWindowMonitor(pane_size=10, window_panes=2,
+                                       threshold=1.0, phi=phi)
+        with pytest.raises(QueryError):
+            StreamingWindowMonitor(pane_size=10, window_panes=2,
+                                   threshold=float("nan"))
+
 
 class TestAlerting:
     def test_matches_batch_processor(self, spiked_stream):

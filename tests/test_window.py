@@ -91,6 +91,16 @@ class TestTurnstile:
         with pytest.raises(ValueError):
             TurnstileWindowProcessor(panes[:3], window_panes=10)
 
+    def test_nan_threshold_and_bad_q_rejected(self, spiked_stream):
+        from repro.core.errors import BoundError, QueryError
+        values, pane_size, _ = spiked_stream
+        processor = TurnstileWindowProcessor(build_panes(values, pane_size),
+                                             window_panes=4)
+        with pytest.raises(BoundError):
+            processor.query(threshold=float("nan"))
+        with pytest.raises(QueryError):
+            processor.query(threshold=1500.0, q=1.5)
+
 
 class TestRemergeBaseline:
     def test_same_alerts_as_turnstile(self, spiked_stream):
