@@ -82,4 +82,5 @@ bench-optimizer:
 	$(PYTHON) benchmarks/bench_optimizer.py --advice-out advisor.json
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q \
+		-o python_files="bench_fig*.py bench_table*.py"

@@ -455,54 +455,44 @@ class QueryService:
                             ) -> tuple[dict, dict, float, int, str]:
         """Cascade every group against every threshold (Eq. 3 counting).
 
-        When every group carries a raw moments sketch, the whole group
-        set runs through :meth:`ThresholdCascade.evaluate_batch` per
-        threshold — the vectorized bound stages filter all cells at once
-        and the survivors share one batched max-entropy solve — with
-        decisions identical to the per-cell cascade.  Otherwise (GK,
-        t-digest, S-Hist baselines) each group is compared through its
-        own summary.  Also returns the number of solve/cascade
-        invocations and the route that ran (``"batched"``/``"scalar"``)
-        for the timings.
+        The groups that carry a raw moments sketch run through one
+        :meth:`ThresholdCascade.evaluate_batch` per threshold — the
+        vectorized bound stages filter all of them at once and the
+        survivors share one batched max-entropy solve.  The other groups
+        (GK, t-digest, S-Hist baselines) are compared through their own
+        summary's estimate.  Also returns the number of solve/cascade
+        invocations and the route that ran for the timings:
+        ``"batched"`` if any group is moments-backed, ``"scalar"``
+        otherwise.
         """
         cascade = ThresholdCascade(config=self.config,
                                    enabled_stages=spec.cascade_stages)
         q = spec.q
-        groups_payload: dict = {}
-        counts = {qkey(t): 0 for t in spec.thresholds}
-        sketches = [sketch_of(summary) for summary in groups_map.values()]
-        if groups_map and all(
-                sketch is not None for sketch in sketches):
-            route = "batched"
-            # One columnar gather serves every threshold's cascade pass.
-            block = ColumnarMoments.from_sketches(sketches)
-            groups_payload = {value: {} for value in groups_map}
-            for t in spec.thresholds:
+        groups_payload: dict = {value: {} for value in groups_map}
+        estimates: dict[str, float] = {}
+        backed = {value: sketch for value, summary in groups_map.items()
+                  if (sketch := sketch_of(summary)) is not None}
+        # One columnar gather serves every threshold's cascade pass.
+        block = (ColumnarMoments.from_sketches(backed.values())
+                 if backed else None)
+        calls = 0
+        for t in spec.thresholds:
+            key = qkey(t)
+            if block is not None:
                 outcomes = cascade.evaluate_batch(block, t, q)
-                for value, outcome in zip(groups_map, outcomes):
-                    groups_payload[value][qkey(t)] = {
+                for value, outcome in zip(backed, outcomes):
+                    groups_payload[value][key] = {
                         "exceeds": outcome.result, "stage": outcome.stage}
-                    if outcome.result:
-                        counts[qkey(t)] += 1
-            calls = len(spec.thresholds)
-        else:
-            route = "scalar"
+                calls += 1
             for value, summary in groups_map.items():
-                sketch = sketch_of(summary)
-                outcomes = {}
-                for t in spec.thresholds:
-                    if sketch is not None:
-                        outcome = cascade.evaluate(sketch, t, q)
-                        exceeds, stage = outcome.result, outcome.stage
-                    else:
-                        exceeds = bool(summary.quantile(q) > t)
-                        stage = "estimate"
-                    outcomes[qkey(t)] = {"exceeds": exceeds, "stage": stage}
-                    if exceeds:
-                        counts[qkey(t)] += 1
-                groups_payload[value] = outcomes
-            calls = len(groups_map) * len(spec.thresholds)
-        estimates = {key: float(n) for key, n in counts.items()}
+                if value not in backed:
+                    groups_payload[value][key] = {
+                        "exceeds": bool(summary.quantile(q) > t),
+                        "stage": "estimate"}
+                    calls += 1
+            estimates[key] = float(sum(payload[key]["exceeds"]
+                                       for payload in groups_payload.values()))
+        route = "batched" if backed else "scalar"
         return (estimates, groups_payload, estimates[qkey(spec.thresholds[0])],
                 calls, route)
 

@@ -197,8 +197,8 @@ def markov_bound_batch(moments: ColumnarMoments, t,
     per-row array (the top-n bracket bisection probes per-row
     midpoints).  Every operation is element-wise per row, so
     ``markov_bound_batch(cm, t).row(i) == markov_bound(cm.sketch_at(i), t)``
-    exactly — the equivalence that keeps batched cascade decisions
-    bit-identical to the scalar cascade's.
+    exactly, so a cell's Markov-stage cascade decision does not depend
+    on its batch-mates.
     """
     _require_nonempty_rows(moments)
     counts = moments.counts

@@ -16,12 +16,13 @@ would — no false negatives or positives relative to the baseline
 (Section 5.2).  Per-stage hit counts and timings are collected for the
 Figure 13 analysis.
 
-:meth:`ThresholdCascade.evaluate_batch` runs the cascade over a whole
-cell set at once: the cheap stages filter with the vectorized bound
-kernels of :mod:`repro.core.bounds` (element-wise equal to their scalar
-counterparts, so stage decisions are bit-identical), and the surviving
-cells share one batched max-entropy solve
-(:func:`repro.core.batch_solver.fit_estimators`).
+:meth:`ThresholdCascade.evaluate_batch` is the one implementation: it
+runs the cascade over a whole cell set at once, each bound stage filters
+every undecided cell with one vectorized kernel of
+:mod:`repro.core.bounds`, and the surviving cells share one batched
+max-entropy solve (:func:`repro.core.batch_solver.fit_estimators`).
+:meth:`~ThresholdCascade.evaluate` is its one-row case, so a cell's
+decision and stage are the same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (markov_bound, markov_bound_batch, rtt_bound,
-                     rtt_bound_batch)
-from .errors import ConvergenceError, EmptySketchError
+from .bounds import markov_bound_batch, rtt_bound, rtt_bound_batch
+from .errors import BoundError, EmptySketchError
 from .params import check_q
-from .quantile import QuantileEstimator
 from .sketch import ColumnarMoments, MomentsSketch
 from .solver import SolverConfig
 
@@ -50,10 +49,6 @@ class StageStats:
     entered: int = 0
     resolved: int = 0
     seconds: float = 0.0
-
-    @property
-    def hit_fraction_of(self) -> float:  # pragma: no cover - convenience
-        return self.resolved / self.entered if self.entered else 0.0
 
 
 @dataclass
@@ -122,25 +117,7 @@ class ThresholdCascade:
     def evaluate(self, sketch: MomentsSketch, t: float,
                  q: float) -> ThresholdOutcome:
         """Like :meth:`threshold` but reports which stage decided."""
-        q = check_q(q)
-        sketch.require_nonempty()
-        self.stats.queries += 1
-        target_rank = sketch.count * q
-
-        if "simple" in self.enabled_stages:
-            outcome = self._timed("simple", self._simple, sketch, t)
-            if outcome is not None:
-                return ThresholdOutcome(outcome, "simple")
-        if "markov" in self.enabled_stages:
-            outcome = self._timed("markov", self._markov, sketch, t, target_rank)
-            if outcome is not None:
-                return ThresholdOutcome(outcome, "markov")
-        if "rtt" in self.enabled_stages:
-            outcome = self._timed("rtt", self._rtt, sketch, t, target_rank)
-            if outcome is not None:
-                return ThresholdOutcome(outcome, "rtt")
-        result = self._timed("maxent", self._maxent, sketch, t, q)
-        return ThresholdOutcome(bool(result), "maxent")
+        return self.evaluate_batch([sketch], t, q)[0]
 
     def evaluate_batch(self, sketches, t: float,
                        q: float) -> list[ThresholdOutcome]:
@@ -151,17 +128,15 @@ class ThresholdCascade:
         :meth:`repro.store.PackedSketchStore.moment_columns`).  Each
         filter stage evaluates its bound for every still-undecided cell
         with one vectorized kernel; cells that survive all bounds share
-        one batched max-entropy solve.  The vectorized bounds are
-        element-wise equal to their scalar counterparts, so every
-        bound-stage decision is exactly the one :meth:`evaluate` makes;
-        maxent-stage decisions compare the batched estimate (which
-        agrees with the scalar estimate to ~1e-13 relative) against
-        ``t``, so they can only differ for a cell whose estimate sits
-        within that slack of the threshold — never observed in practice
-        and gated in CI.  Per-stage stats record the batched timings
-        (one span per stage, not one per cell).
+        one batched max-entropy solve.  The bound kernels and the fit are
+        row-wise, so a cell's decision and stage do not depend on which
+        other cells share the batch.  A NaN ``t`` raises
+        :class:`BoundError` whichever stages are enabled.  Per-stage stats
+        record the batched timings (one span per stage, not one per cell).
         """
         q = check_q(q)
+        if np.isnan(t):
+            raise BoundError("thresholds must not be NaN")
         if isinstance(sketches, ColumnarMoments):
             moments = sketches
             cells: list[MomentsSketch | None] = [None] * len(moments)
@@ -220,9 +195,9 @@ class ThresholdCascade:
             for position, row in enumerate(undecided):
                 estimator = estimators[position]
                 if estimator is None:
-                    # Non-convergent (near-discrete) cell: same sound
-                    # degradation as the scalar maxent stage — the CDF
-                    # midpoint of the RTT bounds.
+                    # Non-convergent (near-discrete) cell: the only
+                    # sound degradation available is the CDF midpoint of
+                    # the RTT bounds.
                     bounds = rtt_bound(survivors[position], t)
                     lo, hi = bounds.fraction()
                     results[row] = 0.5 * (lo + hi) < q
@@ -233,60 +208,3 @@ class ThresholdCascade:
             stats.resolved += int(undecided.size)
         return [ThresholdOutcome(bool(results[row]), stages[row])
                 for row in range(size)]
-
-    # ------------------------------------------------------------------
-    # Stages
-    # ------------------------------------------------------------------
-
-    def _timed(self, name: str, fn, *args):
-        stats = self.stats.stages[name]
-        stats.entered += 1
-        start = time.perf_counter()
-        outcome = fn(*args)
-        stats.seconds += time.perf_counter() - start
-        if outcome is not None:
-            stats.resolved += 1
-        return outcome
-
-    @staticmethod
-    def _simple(sketch: MomentsSketch, t: float) -> bool | None:
-        """Range filter: t outside [xmin, xmax] decides immediately."""
-        if t >= sketch.max:
-            return False
-        if t < sketch.min:
-            return True
-        return None
-
-    @staticmethod
-    def _check_rank_bounds(lower: float, upper: float, target_rank: float) -> bool | None:
-        """Resolve the predicate from rank bounds when they clear the target.
-
-        rank(t) < n*phi for every matching dataset implies the quantile
-        estimate exceeds t; rank(t) > n*phi implies it does not.  (This is
-        Algorithm 2's CheckBound with the rank convention "elements below
-        t" spelled out.)
-        """
-        if upper < target_rank:
-            return True
-        if lower > target_rank:
-            return False
-        return None
-
-    def _markov(self, sketch: MomentsSketch, t: float, target_rank: float) -> bool | None:
-        bounds = markov_bound(sketch, t)
-        return self._check_rank_bounds(bounds.lower, bounds.upper, target_rank)
-
-    def _rtt(self, sketch: MomentsSketch, t: float, target_rank: float) -> bool | None:
-        bounds = rtt_bound(sketch, t)
-        return self._check_rank_bounds(bounds.lower, bounds.upper, target_rank)
-
-    def _maxent(self, sketch: MomentsSketch, t: float, q: float) -> bool:
-        """Final stage: full estimate.  Convergence failures use the CDF
-        midpoint of the RTT bounds, the only sound degradation available."""
-        try:
-            estimator = QuantileEstimator.fit(sketch, config=self.config)
-        except ConvergenceError:
-            bounds = rtt_bound(sketch, t)
-            lo, hi = bounds.fraction()
-            return 0.5 * (lo + hi) < q
-        return estimator.quantile(q) > t

@@ -10,8 +10,9 @@ whose ``(1 - r * 0.01)``-quantile exceeds ``t99`` (with the paper's
 Pipeline over a cube of pre-aggregated moments sketches:
 
 1. merge everything and estimate ``t99`` (one max-entropy solve);
-2. for every candidate subgroup, evaluate ``quantile(0.7) > t99`` with the
-   threshold cascade — the Figure 12 lesion toggles cascade stages.
+2. evaluate ``quantile(0.7) > t99`` for every candidate subgroup with one
+   batched threshold-cascade pass over all groups — the Figure 12 lesion
+   toggles cascade stages.
 
 Two Merge12 baselines reproduce the comparison: ``merge12a`` runs the same
 plan over a Merge12 cube; ``merge12b`` is the optimistic variant that
@@ -143,13 +144,12 @@ class MacroBaseEngine:
         groups = self._dimension_groups()
         group_merge_seconds = time.perf_counter() - start
 
-        found: list[OutlierGroup] = []
         start = time.perf_counter()
-        for (dim, value), sketch in groups.items():
-            outcome = self.cascade.evaluate(sketch, threshold, group_phi)
-            if outcome.result:
-                found.append(OutlierGroup(dimension=dim, value=value,
-                                          stage=outcome.stage))
+        outcomes = self.cascade.evaluate_batch(list(groups.values()),
+                                               threshold, group_phi)
+        found = [OutlierGroup(dimension=dim, value=value, stage=outcome.stage)
+                 for (dim, value), outcome in zip(groups, outcomes)
+                 if outcome.result]
         estimation_seconds = time.perf_counter() - start
         return MacroBaseReport(
             threshold=threshold,

@@ -10,8 +10,10 @@ Two execution strategies, matching Figure 14:
   counts subtract exactly, so sliding one pane costs one ``subtract`` plus
   one ``merge``.  The window's min/max are maintained from the per-pane
   extrema kept alongside each pane (min/max cannot be un-merged; the pane
-  deque makes the recomputation exact).  The cascade then screens windows
-  against the threshold.
+  deque makes the recomputation exact).  Each slide's window is
+  snapshotted, and one batched cascade pass
+  (:meth:`~repro.core.cascade.ThresholdCascade.evaluate_batch`) then
+  screens every window against the threshold.
 * :func:`remerge_windows` — the strategy any non-subtractable summary is
   stuck with: re-merge all ``w`` panes at every slide (used for the
   Merge12 baseline bar).
@@ -130,41 +132,35 @@ class TurnstileWindowProcessor:
             np.arange(position, position + self.window_panes))
 
     def query(self, threshold: float, q: float = 0.99) -> WindowQueryResult:
-        """Find all windows with ``quantile(q) > threshold``."""
-        q = check_q(q)
-        alerts: list[WindowAlert] = []
-        w = self.window_panes
-        merge_seconds = 0.0
-        estimation_seconds = 0.0
+        """Find all windows with ``quantile(q) > threshold``.
 
+        Slides the window pane by pane (merge the incoming pane, subtract
+        the outgoing one), snapshotting each step, then screens every
+        snapshot with one batched cascade pass.
+        """
+        q = check_q(q)
+        w = self.window_panes
         start = time.perf_counter()
         window = self.rebuild_window(0)
-        merge_seconds += time.perf_counter() - start
-
-        position = 0
-        while True:
-            in_window = self.panes[position:position + w]
-            start = time.perf_counter()
-            outcome = self.cascade.evaluate(window, threshold, q)
-            estimation_seconds += time.perf_counter() - start
-            if outcome.result:
-                alerts.append(WindowAlert(start_pane=in_window[0].index,
-                                          end_pane=in_window[-1].index,
-                                          stage=outcome.stage))
-            if position + w >= len(self.panes):
-                break
-            start = time.perf_counter()
-            outgoing = self.panes[position]
-            incoming = self.panes[position + w]
+        windows = [window.copy()]
+        for position in range(len(self.panes) - w):
             surviving = self.panes[position + 1:position + w + 1]
-            window.merge(incoming.sketch)
-            window.subtract(outgoing.sketch,
+            window.merge(surviving[-1].sketch)
+            window.subtract(self.panes[position].sketch,
                             new_min=min(p.min for p in surviving),
                             new_max=max(p.max for p in surviving))
-            merge_seconds += time.perf_counter() - start
-            position += 1
-        return WindowQueryResult(alerts=alerts,
-                                 windows_checked=len(self.panes) - w + 1,
+            windows.append(window.copy())
+        merge_seconds = time.perf_counter() - start
+
+        start = time.perf_counter()
+        outcomes = self.cascade.evaluate_batch(windows, threshold, q)
+        estimation_seconds = time.perf_counter() - start
+        alerts = [WindowAlert(start_pane=self.panes[position].index,
+                              end_pane=self.panes[position + w - 1].index,
+                              stage=outcome.stage)
+                  for position, outcome in enumerate(outcomes)
+                  if outcome.result]
+        return WindowQueryResult(alerts=alerts, windows_checked=len(windows),
                                  merge_seconds=merge_seconds,
                                  estimation_seconds=estimation_seconds)
 

@@ -223,6 +223,15 @@ class TestExecuteKinds:
         outcome = next(iter(response.groups.values()))[qkey(t)]
         assert set(outcome) == {"exceeds", "stage"}
 
+    def test_threshold_count_repeated_threshold_counted_once(self, cube,
+                                                             dataset):
+        values, *_ = dataset
+        t = float(np.quantile(values, 0.9))
+        response = QueryService(cube=cube).execute(QuerySpec(
+            kind="threshold_count", quantiles=(0.99,), thresholds=(t, t),
+            group_dimension="version"))
+        assert response.estimates == {qkey(t): float(len(response.groups))}
+
     def test_group_by_matches_legacy(self, engine):
         # The legacy plan: merge each group's states, then finalize each
         # group with its own scalar solve.

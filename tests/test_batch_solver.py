@@ -12,7 +12,10 @@ The layer's contract, asserted here:
 * stragglers (near-discrete cells) fall back to the scalar solver and
   surface the canonical outcome without disturbing their batch-mates;
 * the vectorized markov/rtt bounds equal their scalar counterparts
-  element-wise, so batched cascade decisions are bit-identical;
+  element-wise;
+* a cell's cascade decision and stage are bit-identical alone (one-row
+  ``evaluate``) or in a batch, and a maxent-stage decision is the
+  scalar fit's answer;
 * the vectorized top-n brackets equal the scalar bracket bisection;
 * the query service reports one batched solve (not one per cell), with
   estimates, rankings and cascade decisions matching the per-group
@@ -266,12 +269,20 @@ class TestBatchedBounds:
 
 
 class TestCascadeBatch:
+    """``evaluate`` is ``evaluate_batch`` over one row, so "scalar" here
+    means N one-row calls; they must match one N-row call bit for bit."""
+
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_decisions_and_stages_match_scalar(self, q):
         sketches = make_sketches(seed=7, count=16)
         lo = min(s.min for s in sketches)
         hi = max(s.max for s in sketches)
-        for t in np.linspace(lo - 1.0, hi + 1.0, 7):
+        # Thresholds just either side of one estimate per shape reach the
+        # maxent stage; the even grid is decided by the bounds.
+        near = [float(QuantileEstimator.fit(s, config=CONFIG).quantile(q))
+                + offset for s in sketches[:4] for offset in (-1e-2, 1e-2)]
+        maxent_checked = 0
+        for t in [*np.linspace(lo - 1.0, hi + 1.0, 7), *near]:
             scalar_cascade = ThresholdCascade(config=CONFIG)
             batch_cascade = ThresholdCascade(config=CONFIG)
             scalar = [scalar_cascade.evaluate(s, float(t), q)
@@ -279,6 +290,17 @@ class TestCascadeBatch:
             batched = batch_cascade.evaluate_batch(sketches, float(t), q)
             assert [o.result for o in scalar] == [o.result for o in batched]
             assert [o.stage for o in scalar] == [o.stage for o in batched]
+            # The independent reference for the last stage is the scalar
+            # fit; only estimates within 1e-9 of t may round either way.
+            for sketch, outcome in zip(sketches, batched):
+                if outcome.stage != "maxent":
+                    continue
+                estimate = QuantileEstimator.fit(sketch, config=CONFIG) \
+                    .quantile(q)
+                if abs(estimate - t) > 1e-9:
+                    assert outcome.result == (estimate > t)
+                    maxent_checked += 1
+        assert maxent_checked > 0
 
     def test_stats_accounting_matches_scalar(self):
         sketches = make_sketches(seed=8, count=10)
@@ -473,8 +495,9 @@ class TestServiceBatchedRouting:
                 estimates[0], rel=1e-9)
 
     def test_threshold_scalar_fallback_reports_scalar_route(self):
-        # Mixed/non-moments groups fall back to the per-cell cascade;
-        # the timings must say so instead of claiming a batched solve.
+        # Groups without a moments sketch are compared through their own
+        # summary; the timings must say so instead of claiming a batched
+        # solve.
         from repro.api import QueryService, QuerySpec
         from repro.druid import DruidEngine, registry
         rng = np.random.default_rng(23)

@@ -67,6 +67,20 @@ class TestStageProgression:
         outcome = cascade.evaluate(sketch, q99 * 0.999, 0.99)
         assert outcome.stage == "maxent"
 
+    @pytest.mark.parametrize("stages", [(), ("simple",),
+                                        ("simple", "markov", "rtt")],
+                             ids=["none", "simple", "full"])
+    def test_nan_threshold_rejected_for_every_stage_set(self, sketch, stages):
+        # With the bound stages off no bound kernel sees t, so the
+        # cascade must check it rather than answer "does not exceed".
+        from repro.core.errors import BoundError
+        cascade = ThresholdCascade(enabled_stages=stages)
+        with pytest.raises(BoundError):
+            cascade.evaluate(sketch, float("nan"), 0.9)
+        with pytest.raises(BoundError):
+            cascade.evaluate_batch([sketch, sketch], float("nan"), 0.9)
+        assert cascade.stats.queries == 0
+
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
             ThresholdCascade(enabled_stages=("simple", "warp-drive"))

@@ -91,15 +91,43 @@ class TestTurnstile:
         with pytest.raises(ValueError):
             TurnstileWindowProcessor(panes[:3], window_panes=10)
 
-    def test_nan_threshold_and_bad_q_rejected(self, spiked_stream):
+    @pytest.mark.parametrize("stages", [(), ("simple",),
+                                        ("simple", "markov", "rtt")],
+                             ids=["none", "simple", "full"])
+    def test_nan_threshold_and_bad_q_rejected(self, spiked_stream, stages):
+        # Without the bound stages nothing consults the bound kernels'
+        # NaN check; the cascade itself must still refuse to answer.
         from repro.core.errors import BoundError, QueryError
         values, pane_size, _ = spiked_stream
         processor = TurnstileWindowProcessor(build_panes(values, pane_size),
-                                             window_panes=4)
+                                             window_panes=4,
+                                             cascade_stages=stages)
         with pytest.raises(BoundError):
             processor.query(threshold=float("nan"))
         with pytest.raises(QueryError):
             processor.query(threshold=1500.0, q=1.5)
+
+    @pytest.mark.parametrize("stages", [(), ("simple", "markov", "rtt")],
+                             ids=["none", "full"])
+    def test_alerts_match_fresh_remerge_cascade(self, spiked_stream, stages):
+        """The merge/subtract slide alerts exactly where one cascade pass
+        over freshly re-merged windows does, stage included."""
+        from repro.core.cascade import ThresholdCascade
+        values, pane_size, _ = spiked_stream
+        panes = build_panes(values, pane_size)
+        w = 24
+        processor = TurnstileWindowProcessor(panes, window_panes=w,
+                                             cascade_stages=stages)
+        fresh = [processor.rebuild_window(p)
+                 for p in range(len(panes) - w + 1)]
+        for threshold in (60.0, 600.0, 1500.0):
+            result = processor.query(threshold, 0.99)
+            outcomes = ThresholdCascade(enabled_stages=stages).evaluate_batch(
+                fresh, threshold, 0.99)
+            expected = [(panes[p].index, panes[p + w - 1].index, o.stage)
+                        for p, o in enumerate(outcomes) if o.result]
+            assert [(a.start_pane, a.end_pane, a.stage)
+                    for a in result.alerts] == expected, threshold
 
 
 class TestRemergeBaseline:
