@@ -18,8 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..core.batch_solver import fit_estimators
-from ..core.bounds import (markov_bound, quantile_error_bound, rtt_bound,
-                           rtt_bound_batch)
+from ..core.bounds import markov_bound_batch, rtt_bound_batch
 from ..core.cascade import ThresholdCascade
 from ..core.errors import QueryError
 from ..core.quantile import QuantileEstimator, safe_estimate_quantiles
@@ -408,29 +407,37 @@ class QueryService:
                          for q, est in zip(spec.quantiles, estimates_arr)}
             bounds = None
             if spec.report_bounds and sketch is not None:
-                bounds = {qkey(q): quantile_error_bound(sketch, float(est), q)
-                          for q, est in zip(spec.quantiles, estimates_arr)}
+                # quantile_error_bound for every quantile, from one
+                # rtt_bound_batch at the per-row estimates.
+                block = _repeated_rows(sketch, len(spec.quantiles))
+                lows, highs = rtt_bound_batch(
+                    block, np.asarray(estimates_arr, dtype=float)).fractions()
+                bounds = {qkey(q): max(float(hi) - q, q - float(lo), 0.0)
+                          for q, lo, hi in zip(spec.quantiles, lows, highs)}
             value = float(estimates_arr[0])
             groups = None
         elif spec.kind == "cdf":
             if sketch is None:
                 raise QueryError("cdf queries need a moments-backed summary")
-            # CDF points come from closed-form RTT bounds, one per
-            # threshold; no max-entropy solver runs.
+            # CDF points come from closed-form RTT bounds, one row per
+            # threshold of one bound call; no max-entropy solver runs.
             solve_calls = len(spec.thresholds)
             solve_route = "bounds"
-            estimates = {}
-            bounds = {} if spec.report_bounds else None
-            for t in spec.thresholds:
-                rtt = rtt_bound(sketch, t)
-                lo, hi = rtt.fraction()
-                estimates[qkey(t)] = 0.5 * (lo + hi)
-                if bounds is not None:
-                    markov = markov_bound(sketch, t)
-                    bounds[qkey(t)] = {
-                        "rtt": {"lower": rtt.lower, "upper": rtt.upper},
-                        "markov": {"lower": markov.lower,
-                                   "upper": markov.upper}}
+            block = _repeated_rows(sketch, len(spec.thresholds))
+            ts = np.asarray(spec.thresholds, dtype=float)
+            rtt = rtt_bound_batch(block, ts)
+            lows, highs = rtt.fractions()
+            estimates = {qkey(t): 0.5 * (float(lo) + float(hi))
+                         for t, lo, hi in zip(spec.thresholds, lows, highs)}
+            bounds = None
+            if spec.report_bounds:
+                markov = markov_bound_batch(block, ts)
+                bounds = {qkey(t): {
+                    "rtt": {"lower": float(rtt.lower[row]),
+                            "upper": float(rtt.upper[row])},
+                    "markov": {"lower": float(markov.lower[row]),
+                               "upper": float(markov.upper[row])}}
+                    for row, t in enumerate(spec.thresholds)}
             value = estimates[qkey(spec.thresholds[0])]
             groups = None
         else:  # threshold_count without a grouping dimension
@@ -600,6 +607,12 @@ class QueryService:
                                  solve_seconds=result.solve_seconds,
                                  solve_calls=max(result.windows_checked, 1),
                                  solve_route="window"))
+
+
+def _repeated_rows(sketch: MomentsSketch, rows: int) -> ColumnarMoments:
+    """A block holding ``sketch`` once per row, for per-row thresholds."""
+    sketch.require_nonempty()
+    return ColumnarMoments.from_sketches([sketch]).take(np.zeros(rows, int))
 
 
 def _quantile_bracket(sketch, q: float, bound_fn) -> tuple[float, float]:

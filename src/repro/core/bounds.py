@@ -23,13 +23,19 @@ Both bounds also come in *batched* array forms —
 :func:`markov_bound_batch` and :func:`rtt_bound_batch` — operating on a
 :class:`~repro.core.sketch.ColumnarMoments` block (packed power-sum
 matrices) so a threshold cascade can filter a whole cell set before its
-one batched max-entropy solve.  The scalar entry points delegate to the
-batched kernels with a one-row block, so scalar and vectorized results
-are equal element-wise by construction.
+one batched max-entropy solve.  Every step is stacked over the rows,
+the RTT core included: rows sharing a system size share one LAPACK call
+each for the Hankel solve, the companion-matrix eigenvalues and the
+Vandermonde weight solve.  LAPACK runs the same routine on every matrix
+of a stack, so a row's bounds are bit-identical alone or in any batch.
+The scalar entry points delegate to the batched kernels with a one-row
+block, so scalar and vectorized results are equal element-wise by
+construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +87,11 @@ class RankBoundsBatch:
     def fractions(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-row CDF bounds (the array form of ``RankBounds.fraction``)."""
         return self.lower / self.counts, self.upper / self.counts
+
+    def take(self, rows) -> "RankBoundsBatch":
+        """The bounds of a row subset, in ``rows`` order."""
+        return RankBoundsBatch(lower=self.lower[rows], upper=self.upper[rows],
+                               counts=self.counts[rows])
 
 
 def _require_nonempty_rows(moments: ColumnarMoments) -> None:
@@ -283,56 +294,126 @@ def markov_bound(sketch: MomentsSketch, t: float,
 _ATOM_TOL = 1e-9
 
 
-def _canonical_representation(moments: np.ndarray, point: float) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights of the principal representation pinned at ``point``.
+def _stacked(routine, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run a stacked LAPACK ``routine``, retrying row by row on failure.
 
-    ``moments[i] = E[u**i]`` for i = 0..2n must hold 2n + 1 values.  Builds
-    the monic degree-n polynomial q orthogonal to ``(u - point) * u**i`` for
-    i < n; its roots plus ``point`` are the support of a discrete
-    distribution matching all 2n + 1 moments.  Raises :class:`BoundError`
-    when the moment matrix is numerically degenerate (e.g. the underlying
-    data has fewer distinct values than atoms).
+    numpy raises :class:`numpy.linalg.LinAlgError` for the whole stack
+    when one matrix is singular (or, for ``eigvals``, not finite), so the
+    stack is then retried one row at a time.  Returns the results and a
+    mask of the rows that succeeded; a failed row's result is zeros.
+    LAPACK runs the same routine on each matrix either way, so a row's
+    result does not depend on its stack-mates.
     """
-    size = moments.size
-    if size < 3 or size % 2 == 0:
-        raise BoundError(f"need an odd number of moments >= 3, got {size}")
+    rows = stacks[0].shape[0]
+    try:
+        return routine(*stacks), np.ones(rows, dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    ok = np.zeros(rows, dtype=bool)
+    results: list = [None] * rows
+    for row in range(rows):
+        try:
+            results[row] = routine(*(stack[row:row + 1] for stack in stacks))[0]
+        except np.linalg.LinAlgError:
+            continue
+        ok[row] = True
+    solved = [result for result in results if result is not None]
+    if not solved:
+        return np.zeros((rows,)), ok
+    out = np.zeros((rows,) + solved[0].shape, dtype=np.result_type(*solved))
+    out[ok] = solved
+    return out, ok
+
+
+def _solve_vectors(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked ``solve(systems[i], rhs[i])`` (numpy 2 wants ``rhs[..., None]``)."""
+    return np.linalg.solve(systems, rhs[..., None])[..., 0]
+
+
+def _rtt_cdf_rows(moments: np.ndarray, points: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extremal F(point) over distributions matching each moment row.
+
+    ``moments[r, i] = E[u**i]`` for i = 0..2n (the same odd size 2n + 1
+    for every row).  Per row this builds the monic degree-n polynomial q
+    orthogonal to ``(u - point) * u**i`` for i < n; its roots plus
+    ``point`` carry a discrete distribution matching all 2n + 1 moments
+    (the principal representation), whose partial weight sums are the
+    bounds.  The Hankel solve, the root finding (``eigvals`` of the
+    companion matrices, exactly what ``polyroots`` runs per row) and the
+    Vandermonde weight solve each run as one stacked LAPACK call.
+
+    Returns ``(lower, upper, solved)``.  A row is not solved when its
+    Hankel or Vandermonde matrix is singular (e.g. the data has fewer
+    distinct values than atoms), its roots are complex or not finite,
+    its weights are negative or not finite, or its total mass is not
+    positive; its bounds are then meaningless.
+    """
+    rows, size = moments.shape
     n = (size - 1) // 2
-    # Linear system sum_j a_j (m_{i+j+1} - point * m_{i+j}) = -(rhs) from
-    # orthogonality of the monic q against (u - point) u**i, assembled as
-    # one shifted-Hankel gather.
-    index = np.arange(n)[:, None] + np.arange(n)[None, :]
-    system = moments[index + 1] - point * moments[index]
-    tail = np.arange(n) + n
-    rhs = -(moments[tail + 1] - point * moments[tail])
-    try:
-        coeffs = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise BoundError("degenerate Hankel system in RTT bound") from exc
-    monic = np.concatenate([coeffs, [1.0]])  # ascending powers, degree n
-    roots = np.polynomial.polynomial.polyroots(monic)
-    if np.any(np.abs(roots.imag) > 1e-7):
-        raise BoundError("complex atoms in RTT canonical representation")
-    atoms = np.concatenate([roots.real, [point]])
-    # Weights from the (n+1)-moment Vandermonde system.
-    vander = np.vander(atoms, len(atoms), increasing=True).T
-    try:
-        weights = np.linalg.solve(vander, moments[: len(atoms)])
-    except np.linalg.LinAlgError as exc:
-        raise BoundError("singular Vandermonde in RTT bound") from exc
-    if np.any(weights < -1e-6):
-        raise BoundError("negative weights in RTT canonical representation")
-    return atoms, np.clip(weights, 0.0, None)
+    hankel, tail, sub_rows, sub_cols = _rtt_indices(n)
+    pts = points[:, None]
+    # sum_j a_j (m_{i+j+1} - point * m_{i+j}) = -(m_{i+n+1} - point * m_{i+n})
+    # from orthogonality of the monic q against (u - point) u**i, each
+    # row's system one shifted-Hankel gather.
+    systems = moments[:, hankel + 1] - pts[:, :, None] * moments[:, hankel]
+    rhs = -(moments[:, tail + 1] - pts * moments[:, tail])
+    coeffs, live = _stacked(_solve_vectors, systems, rhs)
+    lower = np.zeros(rows)
+    upper = np.ones(rows)
+    if not live.any():
+        return lower, upper, live
+    if n == 1:
+        roots = -coeffs[live]  # the degree-1 root -c0 / c1 with c1 = 1
+    else:
+        companion = np.zeros((int(live.sum()), n, n))
+        companion[:, sub_rows, sub_cols] = 1.0  # the subdiagonal
+        companion[:, :, -1] -= coeffs[live]
+        roots, found = _stacked(np.linalg.eigvals, companion)
+        live[live] = found
+        if not found.any():
+            return lower, upper, live
+        roots = np.sort(roots[found], axis=-1)
+    real = (np.abs(roots.imag) <= 1e-7).all(axis=-1)
+    live[live] = real
+    if not live.any():
+        return lower, upper, live
+    near = pts[live]
+    atoms = np.concatenate([roots[real].real, near], axis=1)
+    # Weights from the (n+1)-moment Vandermonde systems: np.vander's
+    # cumulative products, transposed.
+    powers = np.empty(atoms.shape + (n + 1,))
+    powers[..., 0] = 1.0
+    powers[..., 1:] = atoms[..., None]
+    np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+    weights, found = _stacked(_solve_vectors, powers.swapaxes(-1, -2),
+                              moments[live, : n + 1])
+    if not found.any():
+        live[live] = found
+        return lower, upper, live
+    # non-negative (to -1e-6) and finite; NaN fails both comparisons
+    found &= ((weights >= -1e-6) & (weights < np.inf)).all(axis=-1)
+    weights = np.maximum(weights, 0.0)
+    below = np.where(atoms < near - _ATOM_TOL, weights, 0.0).sum(axis=-1)
+    at = np.where(np.abs(atoms - near) <= _ATOM_TOL, weights, 0.0).sum(axis=-1)
+    total = weights.sum(axis=-1)
+    found &= total > 0
+    live[live] = found
+    below, at, total = below[found], at[found], total[found]
+    lower[live] = below / total
+    upper[live] = np.minimum(1.0, (below + at) / total)
+    return lower, upper, live
 
 
-def _rtt_cdf_bounds(moments: np.ndarray, point: float) -> tuple[float, float]:
-    """Extremal values of F(point) over distributions matching ``moments``."""
-    atoms, weights = _canonical_representation(moments, point)
-    below = float(weights[atoms < point - _ATOM_TOL].sum())
-    at = float(weights[np.abs(atoms - point) <= _ATOM_TOL].sum())
-    total = float(weights.sum())
-    if total <= 0:
-        raise BoundError("zero total mass in RTT representation")
-    return below / total, min(1.0, (below + at) / total)
+@functools.lru_cache(maxsize=None)
+def _rtt_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Hankel gather, right-hand-side and companion subdiagonal indices
+    for systems of size n (read-only: every caller shares them)."""
+    indices = (np.arange(n)[:, None] + np.arange(n)[None, :],
+               np.arange(n) + n, np.arange(1, n), np.arange(n - 1))
+    for index in indices:
+        index.setflags(write=False)
+    return indices
 
 
 def _shifted_scaled_rows(mu: np.ndarray, centers: np.ndarray,
@@ -352,10 +433,10 @@ def _rtt_family_rows(sums: np.ndarray, counts: np.ndarray, orders: np.ndarray,
     """One moment family's RTT pass over eligible rows, updating in place.
 
     The moment preparation (raw moments, binomial shift, scaling,
-    stability truncation) runs stacked per distinct order; the
-    Hankel-solve + root-finding core is inherently per-row (each row's
-    truncation yields its own system size) and reuses the scalar
-    :func:`_rtt_cdf_bounds` verbatim.
+    stability truncation) runs stacked per distinct order.  Each row's
+    truncation leaves its own longest odd prefix of moments 0..2n, so
+    the rows are then grouped by prefix size and each group's canonical
+    representations run stacked (:func:`_rtt_cdf_rows`).
     """
     for order in np.unique(orders[members]):
         group = members[orders[members] == order]
@@ -364,36 +445,41 @@ def _rtt_family_rows(sums: np.ndarray, counts: np.ndarray, orders: np.ndarray,
         halves = 0.5 * (highs[group] - lows[group])
         scaled = _shifted_scaled_rows(mu, centers, halves)
         usable = np.maximum(stable_orders_rows(scaled), 1) + 1
+        sizes = usable - 1 + usable % 2  # longest odd prefix
         scaled_points = (points[group] - centers) / halves
-        for position, row in enumerate(group):
-            prefix = _odd_prefix(scaled[position, : usable[position]])
-            try:
-                lo, hi = _rtt_cdf_bounds(prefix, float(scaled_points[position]))
-            except BoundError:
-                continue
-            lo_frac[row] = max(lo_frac[row], lo)
-            hi_frac[row] = min(hi_frac[row], hi)
-            solved[row] = True
+        for size in np.unique(sizes[sizes >= 3]):
+            at = np.flatnonzero(sizes == size)
+            lo, hi, ok = _rtt_cdf_rows(scaled[at, :size], scaled_points[at])
+            rows = group[at[ok]]
+            lo_frac[rows] = np.maximum(lo_frac[rows], lo[ok])
+            hi_frac[rows] = np.minimum(hi_frac[rows], hi[ok])
+            solved[rows] = True
 
 
 def rtt_bound_batch(moments: ColumnarMoments, t,
-                    max_order: int | None = None) -> RankBoundsBatch:
+                    max_order: int | None = None, *,
+                    markov: RankBoundsBatch | None = None) -> RankBoundsBatch:
     """RTT bounds on rank(t) for every row of a columnar block.
 
     The array form of :func:`rtt_bound`: early range classification, the
-    Appendix-B order caps, and each family's moment conditioning run
-    stacked over the packed power-sum matrices; the per-row canonical
-    representation reuses the scalar solver, and every row intersects
-    with its (vectorized) Markov bound exactly as the scalar path does.
-    ``t`` may be one threshold or a per-row array.  Rows where both
-    Hankel solves degenerate fall back to their Markov rows, mirroring
-    the scalar fallback.
+    Appendix-B order caps, each family's moment conditioning and the
+    canonical representations themselves run stacked over the packed
+    power-sum matrices, and every row intersects with its Markov bound.
+    ``t`` may be one threshold or a per-row array.  ``markov`` hands in
+    the block's :func:`markov_bound_batch` at the same ``t`` and
+    ``max_order`` when the caller already holds it (the cascade's Markov
+    stage); otherwise it is computed here.  Both kernels are row-wise,
+    so the result is the same either way.  Rows where both Hankel solves
+    degenerate keep their Markov rows.
     """
     _require_nonempty_rows(moments)
     counts = moments.counts
     size = len(moments)
     ts = _thresholds(t, counts)
-    markov = markov_bound_batch(moments, ts, max_order=max_order)
+    if markov is None:
+        markov = markov_bound_batch(moments, ts, max_order=max_order)
+    elif len(markov) != size:
+        raise BoundError(f"{len(markov)} Markov rows for {size} sketches")
     below = ts <= moments.mins
     above = ts > moments.maxs
     lower = np.where(below, 0.0, np.where(above, counts, markov.lower))
@@ -449,12 +535,6 @@ def rtt_bound(sketch: MomentsSketch, t: float,
     batch = rtt_bound_batch(ColumnarMoments.from_sketches([sketch]), t,
                             max_order=max_order)
     return batch.row(0)
-
-
-def _odd_prefix(moments: np.ndarray) -> np.ndarray:
-    """Longest odd-length prefix (the RTT solve needs moments 0..2n)."""
-    usable = moments.size if moments.size % 2 == 1 else moments.size - 1
-    return moments[:usable]
 
 
 def quantile_error_bound(sketch: MomentsSketch, estimate: float, phi: float) -> float:

@@ -170,18 +170,27 @@ class ThresholdCascade:
             undecided = record(decided, t < mins, "simple")
             stats.seconds += time.perf_counter() - start
             stats.resolved += int(decided.sum())
-        for name, bound_batch in (("markov", markov_bound_batch),
-                                  ("rtt", rtt_bound_batch)):
+        markov = None
+        for name in ("markov", "rtt"):
             if name not in self.enabled_stages or not undecided.size:
                 continue
             stats = self.stats.stages[name]
             stats.entered += undecided.size
             start = time.perf_counter()
-            bounds = bound_batch(moments.take(undecided), t)
+            block = moments.take(undecided)
+            if name == "markov":
+                bounds = markov_bound_batch(block, t)
+            else:
+                bounds = rtt_bound_batch(block, t, markov=markov)
             exceeds = bounds.upper < target_ranks[undecided]
             misses = bounds.lower > target_ranks[undecided]
             decided = exceeds | misses
             undecided = record(decided, exceeds, name)
+            if name == "markov":
+                # RTT intersects with these rows' Markov bounds: hand
+                # them over rather than recompute them (row-wise, so the
+                # values are the same).
+                markov = bounds.take(~decided)
             stats.seconds += time.perf_counter() - start
             stats.resolved += int(decided.sum())
         if undecided.size:

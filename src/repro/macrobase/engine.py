@@ -32,6 +32,7 @@ from ..core.errors import QueryError
 from ..core.sketch import MomentsSketch, merge_all
 from ..core.quantile import safe_estimate_quantiles
 from ..core.solver import SolverConfig
+from ..store import PackedSketchStore
 from ..summaries import Merge12Summary
 
 
@@ -112,17 +113,21 @@ class MacroBaseEngine:
         return threshold, merge_seconds, merged
 
     def _dimension_groups(self) -> dict[tuple[int, object], MomentsSketch]:
-        """Roll cells up to every (dimension index, value) subpopulation."""
-        groups: dict[tuple[int, object], MomentsSketch] = {}
-        for key, sketch in self.cube.cells.items():
-            for dim, value in enumerate(key):
-                group_key = (dim, value)
-                existing = groups.get(group_key)
-                if existing is None:
-                    groups[group_key] = sketch.copy()
-                else:
-                    existing.merge(sketch)
-        return groups
+        """Roll cells up to every (dimension index, value) subpopulation.
+
+        The cells are packed once and every group is one reduction of
+        its cells in cube order
+        (:meth:`~repro.store.PackedSketchStore.batch_merge_by`), so each
+        group equals merging its cells one by one; groups come in
+        first-seen order.
+        """
+        cells = self.cube.cells
+        if not cells:
+            return {}
+        store = PackedSketchStore.from_sketches(cells.values())
+        rows = [row for row, key in enumerate(cells) for _ in key]
+        keys = [group for key in cells for group in enumerate(key)]
+        return store.batch_merge_by(rows, keys)
 
     def find_outlier_groups(self, outlier_phi: float = 0.99,
                             rate_multiplier: float = 30.0) -> MacroBaseReport:

@@ -333,6 +333,69 @@ class TestExecuteKinds:
         assert a.value == b.value
 
 
+class TestBoundPayloads:
+    """``cdf`` and ``report_bounds`` answers come from one batched bound
+    call per query, with the same bits as one scalar call per threshold."""
+
+    @staticmethod
+    def _bits(value):
+        return np.float64(value).tobytes()
+
+    def _store_and_sketch(self, dataset):
+        from repro.core import MomentsSketch
+        values, *_ = dataset
+        store = PackedSketchStore.from_sketches(
+            [MomentsSketch.from_data(values[i::4], k=10) for i in range(4)])
+        return store, store.batch_merge()
+
+    def test_cdf_matches_per_threshold_bounds(self, dataset):
+        from repro.core.bounds import markov_bound, rtt_bound
+        store, sketch = self._store_and_sketch(dataset)
+        ts = (float("-inf"), sketch.min, float(np.nextafter(sketch.min, 1e9)),
+              1.0, 2.5, 7.0, 40.0, float(np.nextafter(sketch.max, 0.0)),
+              sketch.max, float("inf"))
+        response = execute(QuerySpec(kind="cdf", thresholds=ts,
+                                     report_bounds=True), store)
+        for t in ts:
+            rtt = rtt_bound(sketch, t)
+            markov = markov_bound(sketch, t)
+            lo, hi = rtt.fraction()
+            assert self._bits(response.estimates[qkey(t)]) \
+                == self._bits(0.5 * (lo + hi))
+            got = response.bounds[qkey(t)]
+            for name, want in (("rtt", rtt), ("markov", markov)):
+                assert self._bits(got[name]["lower"]) == self._bits(want.lower)
+                assert self._bits(got[name]["upper"]) == self._bits(want.upper)
+
+    def test_quantile_error_bounds_match_per_quantile_calls(self, dataset):
+        from repro.core.bounds import quantile_error_bound
+        store, sketch = self._store_and_sketch(dataset)
+        qs = (0.01, 0.1, 0.5, 0.9, 0.99)
+        response = execute(QuerySpec(kind="quantile", quantiles=qs,
+                                     report_bounds=True), store)
+        for q in qs:
+            estimate = response.estimates[qkey(q)]
+            assert self._bits(response.bounds[qkey(q)]) == self._bits(
+                quantile_error_bound(sketch, estimate, q))
+
+    def test_one_bound_call_per_query(self, dataset, monkeypatch):
+        from repro.api import service
+        store, sketch = self._store_and_sketch(dataset)
+        calls = []
+        for name in ("rtt_bound_batch", "markov_bound_batch"):
+            real = getattr(service, name)
+            monkeypatch.setattr(service, name, lambda *a, real=real,
+                                name=name, **kw: calls.append(name)
+                                or real(*a, **kw))
+        execute(QuerySpec(kind="cdf", thresholds=(1.0, 2.0, 3.0),
+                          report_bounds=True), store)
+        assert calls == ["rtt_bound_batch", "markov_bound_batch"]
+        calls.clear()
+        execute(QuerySpec(kind="quantile", quantiles=(0.5, 0.9),
+                          report_bounds=True), store)
+        assert calls == ["rtt_bound_batch"]
+
+
 class TestBatchedExecution:
     def test_one_merge_per_distinct_cell_subset(self, cube, monkeypatch):
         calls = []

@@ -156,3 +156,263 @@ class TestNaNThresholds:
             cascade.evaluate(self.SKETCH, float("nan"), 0.9)
         with pytest.raises(BoundError):
             cascade.evaluate_batch([self.SKETCH], float("nan"), 0.9)
+
+
+# ----------------------------------------------------------------------
+# The stacked RTT core against the per-row reference
+# ----------------------------------------------------------------------
+
+#: Why the reference left a row unsolved, keyed by its BoundError text.
+_PATHS: dict[str, int] = {}
+
+
+def _reference_representation(moments, point):
+    """The per-row canonical representation the stacked core replaces.
+
+    Roots come from ``eigvals`` of the explicit companion matrix (what
+    ``polyroots`` runs), not from ``polyroots`` itself, whose matrix some
+    numpy versions rotate.
+    """
+    size = moments.size
+    if size < 3:
+        raise BoundError("short")
+    n = (size - 1) // 2
+    index = np.arange(n)[:, None] + np.arange(n)[None, :]
+    system = moments[index + 1] - point * moments[index]
+    tail = np.arange(n) + n
+    rhs = -(moments[tail + 1] - point * moments[tail])
+    try:
+        coeffs = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise BoundError("hankel") from exc
+    if n == 1:
+        roots = np.array([-coeffs[0] / 1.0])
+    else:
+        companion = np.zeros((n, n))
+        companion.reshape(-1)[n::n + 1] = 1.0
+        companion[:, -1] -= coeffs / 1.0
+        roots = np.linalg.eigvals(companion)
+        roots.sort()
+    if np.any(np.abs(roots.imag) > 1e-7):
+        raise BoundError("complex")
+    atoms = np.concatenate([roots.real, [point]])
+    vander = np.vander(atoms, len(atoms), increasing=True).T
+    try:
+        weights = np.linalg.solve(vander, moments[: len(atoms)])
+    except np.linalg.LinAlgError as exc:
+        raise BoundError("vandermonde") from exc
+    if np.any(weights < -1e-6):
+        raise BoundError("negative")
+    return atoms, np.clip(weights, 0.0, None)
+
+
+def _reference_cdf(moments, point):
+    from repro.core.bounds import _ATOM_TOL
+    atoms, weights = _reference_representation(moments, point)
+    below = float(weights[atoms < point - _ATOM_TOL].sum())
+    at = float(weights[np.abs(atoms - point) <= _ATOM_TOL].sum())
+    total = float(weights.sum())
+    if total <= 0:
+        raise BoundError("total")
+    return below / total, min(1.0, (below + at) / total)
+
+
+def _reference_family_rows(sums, counts, orders, members, lows, highs,
+                           points, lo_frac, hi_frac, solved):
+    """Per-row twin of ``bounds._rtt_family_rows``: one solve per row."""
+    from repro.core import bounds
+    from repro.core.moments import stable_orders_rows
+    for order in np.unique(orders[members]):
+        group = members[orders[members] == order]
+        mu = bounds._raw_moment_rows(sums[group], counts[group], int(order))
+        centers = 0.5 * (highs[group] + lows[group])
+        halves = 0.5 * (highs[group] - lows[group])
+        scaled = bounds._shifted_scaled_rows(mu, centers, halves)
+        usable = np.maximum(stable_orders_rows(scaled), 1) + 1
+        scaled_points = (points[group] - centers) / halves
+        for position, row in enumerate(group):
+            size = int(usable[position])
+            prefix = scaled[position, : size if size % 2 else size - 1]
+            try:
+                lo, hi = _reference_cdf(prefix, float(scaled_points[position]))
+            except BoundError as exc:
+                _PATHS[str(exc)] = _PATHS.get(str(exc), 0) + 1
+                continue
+            _PATHS["solved"] = _PATHS.get("solved", 0) + 1
+            lo_frac[row] = max(lo_frac[row], lo)
+            hi_frac[row] = min(hi_frac[row], hi)
+            solved[row] = True
+
+
+def _reference_rtt(monkeypatch, block, ts):
+    from repro.core import bounds
+    from repro.core.bounds import rtt_bound_batch
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_rtt_family_rows", _reference_family_rows)
+        return rtt_bound_batch(block, ts)
+
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def _corpus(k):
+    """(data, sketch) pairs: milan cells, five smooth families, and data
+    with few distinct values or just two points."""
+    from repro.datasets import load
+    rng = np.random.default_rng(100 + k)
+    datasets = [np.asarray(cell) for cell in
+                np.array_split(np.asarray(load("milan", 32_000)), 64)]
+    for _ in range(24):
+        size = int(rng.integers(50, 2000))
+        datasets += [
+            rng.lognormal(rng.normal(), rng.uniform(0.2, 2.0), size),
+            rng.normal(10 * rng.normal(), rng.uniform(0.1, 5.0), size),
+            rng.uniform(-3.0, 5.0, size),
+            rng.gamma(rng.uniform(0.3, 5.0), 2.0, size),
+            rng.integers(0, int(rng.integers(2, 6)), size) + 1.0,
+            np.repeat(rng.uniform(0.5, 3.0, 2),
+                      rng.integers(1, 100, 2)),
+        ]
+    return [(data, MomentsSketch.from_data(data, k=k)) for data in datasets]
+
+
+def _threshold_sets(corpus, rng):
+    mins = np.array([sketch.min for _, sketch in corpus])
+    maxs = np.array([sketch.max for _, sketch in corpus])
+    atoms = np.array([np.unique(data)[rng.integers(np.unique(data).size)]
+                      for data, _ in corpus])
+    return {
+        "middle": 0.5 * (mins + maxs),
+        "uniform": mins + (maxs - mins) * rng.random(mins.size),
+        "low tail": mins + (maxs - mins) * rng.random(mins.size) ** 4,
+        "atoms": atoms,
+        "min + 1 ulp": np.nextafter(mins, np.inf),
+        "max - 1 ulp": np.nextafter(maxs, -np.inf),
+    }
+
+
+class TestStackedRTTCore:
+    """The stacked Hankel/eigvals/Vandermonde core is bit-identical to one
+    LAPACK solve per row."""
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_matches_per_row_reference(self, monkeypatch, k):
+        from repro.core.bounds import rtt_bound_batch
+        from repro.core.sketch import ColumnarMoments
+        corpus = _corpus(k)
+        assert len(corpus) >= 200
+        block = ColumnarMoments.from_sketches([s for _, s in corpus])
+        _PATHS.clear()
+        rng = np.random.default_rng(k)
+        for name, ts in _threshold_sets(corpus, rng).items():
+            got = rtt_bound_batch(block, ts)
+            want = _reference_rtt(monkeypatch, block, ts)
+            assert _same_bits(got.lower, want.lower), (k, name)
+            assert _same_bits(got.upper, want.upper), (k, name)
+        # the corpus reaches every way a row's solve fails (at k = 10 no
+        # row's stable prefix is shorter than three moments)
+        paths = {"solved", "hankel", "complex", "negative"}
+        if k < 10:
+            paths.add("short")
+        assert paths <= set(_PATHS), (k, _PATHS)
+
+    def test_unsolvable_core_rows(self):
+        """A singular Vandermonde matrix and a zero total mass leave a
+        row unsolved, as they raised per row; the other rows keep the
+        bounds they get alone."""
+        from repro.core.bounds import _rtt_cdf_rows
+        tiny = 2.0 ** -30
+        rows = np.array([[1.0, 0.1, 0.4], [1.0, 0.5, 0.0],
+                         [-tiny, tiny, -tiny], [1.0, -0.2, 0.3]])
+        points = np.array([0.2, 0.0, 0.0, 0.1])
+        with pytest.raises(BoundError, match="vandermonde"):
+            _reference_cdf(rows[1], 0.0)
+        with pytest.raises(BoundError, match="total"):
+            _reference_cdf(rows[2], 0.0)
+        lower, upper, solved = _rtt_cdf_rows(rows, points)
+        assert solved.tolist() == [True, False, False, True]
+        for row in (0, 3):
+            lo, hi = _reference_cdf(rows[row], float(points[row]))
+            assert _same_bits([lower[row], upper[row]], [lo, hi])
+            alone = _rtt_cdf_rows(rows[row:row + 1], points[row:row + 1])
+            assert _same_bits(alone[0], lower[row:row + 1])
+            assert _same_bits(alone[1], upper[row:row + 1])
+
+    def test_singular_row_leaves_neighbours_unchanged(self):
+        from repro.core.bounds import rtt_bound_batch
+        from repro.core.sketch import ColumnarMoments
+        rng = np.random.default_rng(5)
+        smooth = [MomentsSketch.from_data(rng.lognormal(0, 1, 500), k=10)
+                  for _ in range(6)]
+        # five evenly spaced values: a singular Hankel system at k = 10
+        singular = MomentsSketch.from_data(
+            np.repeat(np.linspace(1.0, 3.0, 5), 40), k=10)
+        sketches = smooth[:3] + [singular] + smooth[3:]
+        ts = np.array([np.median([s.min, s.max]) for s in sketches])
+        batch = rtt_bound_batch(ColumnarMoments.from_sketches(sketches), ts)
+        for row, sketch in enumerate(sketches):
+            alone = rtt_bound_batch(ColumnarMoments.from_sketches([sketch]),
+                                    ts[row])
+            assert _same_bits(batch.lower[row], alone.lower[0])
+            assert _same_bits(batch.upper[row], alone.upper[0])
+
+    def test_row_alone_equals_shuffled_batch(self):
+        from repro.core.bounds import rtt_bound_batch
+        from repro.core.sketch import ColumnarMoments
+        rng = np.random.default_rng(11)
+        corpus = _corpus(10)
+        picks = rng.choice(len(corpus), 64, replace=False)
+        sketches = [corpus[i][1] for i in picks]
+        ts = np.array([s.min + (s.max - s.min) * rng.random() ** 2
+                       for s in sketches])
+        batch = rtt_bound_batch(ColumnarMoments.from_sketches(sketches), ts)
+        for row in rng.permutation(64):
+            alone = rtt_bound(sketches[row], float(ts[row]))
+            assert _same_bits([batch.lower[row], batch.upper[row]],
+                              [alone.lower, alone.upper])
+
+
+class TestMarkovHandOff:
+    """The cascade hands its Markov bounds to the RTT stage instead of
+    recomputing them."""
+
+    SKETCHES = [MomentsSketch.from_data(
+        np.random.default_rng(seed).lognormal(0.0, 1.0, 800), k=10)
+        for seed in range(32)]
+
+    def test_handed_bounds_give_the_same_result(self):
+        from repro.core.bounds import markov_bound_batch, rtt_bound_batch
+        from repro.core.sketch import ColumnarMoments
+        block = ColumnarMoments.from_sketches(self.SKETCHES)
+        ts = np.linspace(0.5, 3.0, len(self.SKETCHES))
+        markov = markov_bound_batch(block, ts)
+        handed = rtt_bound_batch(block, ts, markov=markov)
+        computed = rtt_bound_batch(block, ts)
+        assert _same_bits(handed.lower, computed.lower)
+        assert _same_bits(handed.upper, computed.upper)
+        with pytest.raises(BoundError):
+            rtt_bound_batch(block, ts, markov=markov.take(np.arange(3)))
+
+    def test_one_markov_pass_per_cascade(self, monkeypatch):
+        from repro.core import bounds, cascade
+        from repro.core.cascade import ThresholdCascade
+        calls = []
+        real = bounds.markov_bound_batch
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "markov_bound_batch", counting)
+        monkeypatch.setattr(cascade, "markov_bound_batch", counting)
+        runner = ThresholdCascade()
+        outcomes = runner.evaluate_batch(self.SKETCHES, 2.0, 0.5)
+        assert runner.stats.stages["rtt"].entered > 0
+        assert calls == [len(self.SKETCHES)]
+        monkeypatch.undo()
+        assert outcomes == ThresholdCascade().evaluate_batch(
+            self.SKETCHES, 2.0, 0.5)

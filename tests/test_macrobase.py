@@ -105,3 +105,49 @@ class TestBaselines:
         # by estimator noise, so compare with slack.
         assert (0, "v8") in moments and (0, "v8") in counts
         assert len(moments.symmetric_difference(counts)) <= 3
+
+
+def _merged_one_by_one(cube):
+    """The roll-up as one copy/merge per (cell, dimension)."""
+    groups = {}
+    for key, sketch in cube.cells.items():
+        for dim, value in enumerate(key):
+            if (dim, value) in groups:
+                groups[(dim, value)].merge(sketch)
+            else:
+                groups[(dim, value)] = sketch.copy()
+    return groups
+
+
+class TestDimensionGroups:
+    def test_packed_rollup_equals_merging_one_by_one(self):
+        # Figure 12's shape: a 500-value grid beside a 5-value country.
+        rng = np.random.default_rng(3)
+        n = 30_000
+        dims = [rng.integers(0, 500, n),
+                rng.choice(["IT", "FR", "DE", "AT", "CH"], n)]
+        cube = MomentsCube.build(dims, rng.lognormal(1.0, 1.0, n), k=10)
+        got = MacroBaseEngine(cube)._dimension_groups()
+        want = _merged_one_by_one(cube)
+        assert list(got) == list(want)  # first-seen order
+        assert all(got[key].to_bytes() == want[key].to_bytes()
+                   for key in want)
+
+    def test_log_invalid_cells(self):
+        """Non-positive data poisons a group's log moments either way;
+        everything else is bit-identical."""
+        rng = np.random.default_rng(4)
+        n = 5_000
+        dims = [rng.integers(0, 40, n), rng.integers(0, 3, n)]
+        cube = MomentsCube.build(dims, rng.normal(3.0, 2.0, n), k=8)
+        got = MacroBaseEngine(cube)._dimension_groups()
+        want = _merged_one_by_one(cube)
+        assert list(got) == list(want)
+        assert any(not sketch.log_valid for sketch in want.values())
+        for key, sketch in want.items():
+            mine = got[key]
+            assert (mine.count, mine.min, mine.max, mine.log_valid) \
+                == (sketch.count, sketch.min, sketch.max, sketch.log_valid)
+            assert np.array_equal(mine.power_sums, sketch.power_sums)
+            if sketch.log_valid:
+                assert np.array_equal(mine.log_sums, sketch.log_sums)

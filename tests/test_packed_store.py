@@ -85,6 +85,23 @@ class TestBatchMergeEquivalence:
             expected = merge_all([sketches[i] for i in rows[gids == gid]])
             assert_sketch_equal(expected, merged)
 
+    def test_small_and_large_groups_match_batch_merge(self):
+        """Small groups fold together, large ones alone: either way each
+        group is bit-for-bit the batch_merge of its rows in input order."""
+        rng = np.random.default_rng(21)
+        sketches = build_sketches(
+            [(rng.lognormal(0, 3, 6) - (5.0 if i % 9 == 0 else 0.0)).tolist()
+             for i in range(60)])
+        store = PackedSketchStore.from_sketches(sketches)
+        sizes = [1, 2, 5, 32, 33, 200]
+        gids = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        rows = rng.integers(0, len(sketches), gids.size)
+        groups = store.batch_merge_groups(rows, gids)
+        for gid, merged in groups.items():
+            expected = store.batch_merge(rows[gids == gid])
+            assert merged.to_bytes() == expected.to_bytes()
+            assert_sketch_equal(expected, merged)
+
     def test_all_empty_rows_merge_to_empty(self):
         store = PackedSketchStore.from_sketches(
             [MomentsSketch(k=K) for _ in range(5)])
