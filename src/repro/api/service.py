@@ -18,7 +18,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..core.batch_solver import fit_estimators
-from ..core.bounds import markov_bound_batch, rtt_bound_batch
+from ..core.bounds import (markov_bound_batch, quantile_error_bounds,
+                           rtt_bound_batch)
 from ..core.cascade import ThresholdCascade
 from ..core.errors import QueryError
 from ..core.quantile import QuantileEstimator, safe_estimate_quantiles
@@ -407,13 +408,10 @@ class QueryService:
                          for q, est in zip(spec.quantiles, estimates_arr)}
             bounds = None
             if spec.report_bounds and sketch is not None:
-                # quantile_error_bound for every quantile, from one
-                # rtt_bound_batch at the per-row estimates.
-                block = _repeated_rows(sketch, len(spec.quantiles))
-                lows, highs = rtt_bound_batch(
-                    block, np.asarray(estimates_arr, dtype=float)).fractions()
-                bounds = {qkey(q): max(float(hi) - q, q - float(lo), 0.0)
-                          for q, lo, hi in zip(spec.quantiles, lows, highs)}
+                errors = quantile_error_bounds(sketch, estimates_arr,
+                                               spec.quantiles)
+                bounds = {qkey(q): float(error)
+                          for q, error in zip(spec.quantiles, errors)}
             value = float(estimates_arr[0])
             groups = None
         elif spec.kind == "cdf":

@@ -394,8 +394,8 @@ def _rtt_cdf_rows(moments: np.ndarray, points: np.ndarray
     # non-negative (to -1e-6) and finite; NaN fails both comparisons
     found &= ((weights >= -1e-6) & (weights < np.inf)).all(axis=-1)
     weights = np.maximum(weights, 0.0)
-    below = np.where(atoms < near - _ATOM_TOL, weights, 0.0).sum(axis=-1)
-    at = np.where(np.abs(atoms - near) <= _ATOM_TOL, weights, 0.0).sum(axis=-1)
+    below = _masked_sums(weights, atoms < near - _ATOM_TOL)
+    at = _masked_sums(weights, np.abs(atoms - near) <= _ATOM_TOL)
     total = weights.sum(axis=-1)
     found &= total > 0
     live[live] = found
@@ -403,6 +403,25 @@ def _rtt_cdf_rows(moments: np.ndarray, points: np.ndarray
     lower[live] = below / total
     upper[live] = np.minimum(1.0, (below + at) / total)
     return lower, upper, live
+
+
+def _masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the float numpy gives for ``values[row][mask[row]].sum()``.
+
+    Summing zeros in place of the unselected entries is not the same:
+    from eight entries on, numpy sums pairwise, and the pairing depends
+    on the entry count.  So each row's selected entries are packed to the
+    front and rows are summed in groups of equal count, one contiguous
+    slice per group.
+    """
+    order = np.argsort(~mask, axis=-1, kind="stable")
+    packed = np.take_along_axis(values, order, axis=-1)
+    counts = mask.sum(axis=-1)
+    out = np.zeros(values.shape[0])
+    for count in np.unique(counts):
+        rows = counts == count
+        out[rows] = packed[rows, :count].sum(axis=-1)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -457,29 +476,33 @@ def _rtt_family_rows(sums: np.ndarray, counts: np.ndarray, orders: np.ndarray,
 
 
 def rtt_bound_batch(moments: ColumnarMoments, t,
-                    max_order: int | None = None, *,
-                    markov: RankBoundsBatch | None = None) -> RankBoundsBatch:
+                    max_order: int | None = None) -> RankBoundsBatch:
     """RTT bounds on rank(t) for every row of a columnar block.
 
     The array form of :func:`rtt_bound`: early range classification, the
     Appendix-B order caps, each family's moment conditioning and the
     canonical representations themselves run stacked over the packed
-    power-sum matrices, and every row intersects with its Markov bound.
-    ``t`` may be one threshold or a per-row array.  ``markov`` hands in
-    the block's :func:`markov_bound_batch` at the same ``t`` and
-    ``max_order`` when the caller already holds it (the cascade's Markov
-    stage); otherwise it is computed here.  Both kernels are row-wise,
-    so the result is the same either way.  Rows where both Hankel solves
-    degenerate keep their Markov rows.
+    power-sum matrices, and every row intersects with its Markov bound
+    (:func:`markov_bound_batch`).  ``t`` may be one threshold or a
+    per-row array.  Rows where both Hankel solves degenerate keep their
+    Markov rows.
+    """
+    markov = markov_bound_batch(moments, t, max_order=max_order)
+    return _rtt_bound_rows(moments, t, markov, max_order)
+
+
+def _rtt_bound_rows(moments: ColumnarMoments, t, markov: RankBoundsBatch,
+                    max_order: int | None = None) -> RankBoundsBatch:
+    """:func:`rtt_bound_batch` given the block's Markov bounds at the
+    same ``t`` and ``max_order``.
+
+    The threshold cascade holds those from its Markov stage; both kernels
+    are row-wise, so handing them over gives the same bounds as
+    recomputing them.
     """
     _require_nonempty_rows(moments)
     counts = moments.counts
-    size = len(moments)
     ts = _thresholds(t, counts)
-    if markov is None:
-        markov = markov_bound_batch(moments, ts, max_order=max_order)
-    elif len(markov) != size:
-        raise BoundError(f"{len(markov)} Markov rows for {size} sketches")
     below = ts <= moments.mins
     above = ts > moments.maxs
     lower = np.where(below, 0.0, np.where(above, counts, markov.lower))
@@ -537,16 +560,28 @@ def rtt_bound(sketch: MomentsSketch, t: float,
     return batch.row(0)
 
 
-def quantile_error_bound(sketch: MomentsSketch, estimate: float, phi: float) -> float:
-    """Guaranteed quantile error of ``estimate`` as a phi-quantile (App. E).
+def quantile_error_bounds(sketch: MomentsSketch, estimates, phis
+                          ) -> np.ndarray:
+    """Guaranteed quantile error of each ``estimates[i]`` as a
+    ``phis[i]``-quantile (App. E), from one :func:`rtt_bound_batch`.
 
     Every dataset matching the sketch has F(estimate) inside the RTT bounds,
     so the rank error of ``estimate`` is at most the distance from phi to
     the far end of those bounds.  This is the ``epsilon_bound`` series of
     Figure 23.
     """
-    if not 0.0 <= phi <= 1.0:
-        raise BoundError(f"phi must be in [0, 1], got {phi}")
-    bounds = rtt_bound(sketch, estimate)
-    lo, hi = bounds.fraction()
-    return max(hi - phi, phi - lo, 0.0)
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    outside = ~((phis >= 0.0) & (phis <= 1.0))
+    if outside.any():
+        raise BoundError(f"phi must be in [0, 1], got {phis[outside][0]}")
+    sketch.require_nonempty()
+    # the sketch once per estimate, each row with its own threshold
+    block = ColumnarMoments.from_sketches([sketch]).take(
+        np.zeros(phis.size, dtype=int))
+    lo, hi = rtt_bound_batch(block, estimates).fractions()
+    return np.maximum(np.maximum(hi - phis, phis - lo), 0.0)
+
+
+def quantile_error_bound(sketch: MomentsSketch, estimate: float, phi: float) -> float:
+    """:func:`quantile_error_bounds` for one estimate."""
+    return float(quantile_error_bounds(sketch, [estimate], [phi])[0])

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import markov_bound_batch, rtt_bound, rtt_bound_batch
+from .bounds import (_rtt_bound_rows, markov_bound_batch, rtt_bound,
+                     rtt_bound_batch)
 from .errors import BoundError, EmptySketchError
 from .params import check_q
 from .sketch import ColumnarMoments, MomentsSketch
@@ -180,16 +181,18 @@ class ThresholdCascade:
             block = moments.take(undecided)
             if name == "markov":
                 bounds = markov_bound_batch(block, t)
+            elif markov is None:
+                bounds = rtt_bound_batch(block, t)
             else:
-                bounds = rtt_bound_batch(block, t, markov=markov)
+                bounds = _rtt_bound_rows(block, t, markov)
             exceeds = bounds.upper < target_ranks[undecided]
             misses = bounds.lower > target_ranks[undecided]
             decided = exceeds | misses
             undecided = record(decided, exceeds, name)
             if name == "markov":
                 # RTT intersects with these rows' Markov bounds: hand
-                # them over rather than recompute them (row-wise, so the
-                # values are the same).
+                # them to its core rather than recompute them (row-wise,
+                # so the values are the same).
                 markov = bounds.take(~decided)
             stats.seconds += time.perf_counter() - start
             stats.resolved += int(decided.sum())

@@ -93,7 +93,7 @@ class TestBatchMergeEquivalence:
             [(rng.lognormal(0, 3, 6) - (5.0 if i % 9 == 0 else 0.0)).tolist()
              for i in range(60)])
         store = PackedSketchStore.from_sketches(sketches)
-        sizes = [1, 2, 5, 32, 33, 200]
+        sizes = [1, 2, 5, 16, 17, 200]  # around _FOLD_TOGETHER
         gids = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
         rows = rng.integers(0, len(sketches), gids.size)
         groups = store.batch_merge_groups(rows, gids)
