@@ -10,8 +10,8 @@ correctness contract against the per-sketch references:
 
 * quantile estimates within 1e-6 (relative) of per-group
   ``QuantileEstimator.fit``,
-* top-N rankings bit-identical to ``_quantile_bracket`` pruning plus
-  reference scoring,
+* top-N rankings (n = 1 and n = 10) identical to a sort of every
+  group's reference fit,
 * threshold-cascade counts *and per-group deciding stages* bit-identical
   to per-cell ``ThresholdCascade.evaluate``,
 * the batched solve reported once (``solve_calls == 1``), not per cell.
@@ -44,8 +44,6 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import PackedStoreBackend, QueryService, QuerySpec, qkey  # noqa: E402
-from repro.api.service import _quantile_bracket  # noqa: E402
-from repro.core.bounds import rtt_bound  # noqa: E402
 from repro.core.cascade import ThresholdCascade  # noqa: E402
 from repro.core.batch_solver import fit_estimators  # noqa: E402
 from repro.core.quantile import QuantileEstimator  # noqa: E402
@@ -86,14 +84,9 @@ def reference_quantiles(groups: dict, qs) -> dict:
 
 
 def reference_top_n(groups: dict, q: float, n: int) -> list:
-    """Per-sketch reference ranking: scalar brackets prune, fits score."""
-    brackets = {g: _quantile_bracket(summary.sketch, q, rtt_bound)
-                for g, summary in groups.items()}
-    cutoff = sorted((lo for lo, _ in brackets.values()), reverse=True)[n - 1]
-    candidates = {g: groups[g] for g, (_, hi) in brackets.items()
-                  if hi >= cutoff}
-    scores = reference_quantiles(candidates, [q])
-    return sorted(candidates, key=lambda g: float(scores[g][0]),
+    """Per-sketch reference ranking: every group's fit scores it."""
+    scores = reference_quantiles(groups, [q])
+    return sorted(groups, key=lambda g: float(scores[g][0]),
                   reverse=True)[:n]
 
 
@@ -117,11 +110,13 @@ def check_decisions(cells, n: int) -> list[str]:
     if rel > 1e-6:
         failures.append(f"group_by estimates diverge: rel err {rel:.3g} > 1e-6")
 
-    top = QuerySpec(kind="top_n", quantiles=(0.99,), n=10,
-                    group_dimension="cell")
-    ranking = [value for value, _ in service.execute(top).top]
-    if ranking != reference_top_n(groups, 0.99, 10):
-        failures.append("top_n ranking differs from the per-sketch reference")
+    for top_count in (1, 10):
+        top = QuerySpec(kind="top_n", quantiles=(0.99,), n=top_count,
+                        group_dimension="cell")
+        ranking = [value for value, _ in service.execute(top).top]
+        if ranking != reference_top_n(groups, 0.99, top_count):
+            failures.append(f"top_n ranking (n={top_count}) differs from "
+                            f"the per-sketch reference")
 
     cascade = ThresholdCascade(config=service.config)
     data = cells.data[: n * CELL_SIZE]

@@ -1,7 +1,7 @@
 """QueryService: plan and execute declarative specs over registered backends.
 
 The service owns the engine-independent half of a query: estimator
-solves, bound computation, threshold cascades, top-n pruning, and the
+solves, bound computation, threshold cascades, top-n ranking, and the
 batched executor.  :meth:`QueryService.execute_batch` groups specs by
 their plan's ``scan_key`` so N specs over the same cell subset cost one
 merge (and, for moments summaries, one estimator solve — the summary's
@@ -64,10 +64,11 @@ class QueryService:
     default; ``spec.backend`` selects another by name.
 
     Every multi-group estimation phase over moments-backed groups —
-    ``group_by`` solves, ``top_n`` bracket pruning and scoring,
-    ``threshold_count`` cascades — runs through the batched max-entropy
-    layer (:mod:`repro.core.batch_solver`): one stacked Newton solve for
-    all surviving groups instead of one solve per group.  The response's
+    ``group_by`` and ``top_n`` scoring (one shared call; ``top_n`` then
+    sorts), ``threshold_count`` cascades — runs through the batched
+    max-entropy layer (:mod:`repro.core.batch_solver`): one stacked
+    Newton solve for all groups a bound did not decide instead of one
+    solve per group.  The response's
     ``timings.solve_route``/``solve_calls`` report which path ran.
 
     ``optimizer`` (opt-in) attaches a
@@ -513,80 +514,44 @@ class QueryService:
             raise QueryError("query matched no cells")
         start = time.perf_counter()
         top = None
-        bounds = None
-        if spec.kind == "group_by":
-            value = None
-            estimates = None
-            arrays, solve_calls, solve_route = self._group_estimates(
-                spec, list(groups_map.values()))
-            groups = {
-                group: {qkey(q): float(est)
-                        for q, est in zip(spec.quantiles, array)}
-                for group, array in zip(groups_map, arrays)}
-            count = float(sum(getattr(s, "count", 0.0) or 0.0
-                              for s in groups_map.values()))
-        elif spec.kind == "top_n":
-            top, solve_calls, solve_route = self._top_n(spec, groups_map)
-            value = float(top[0][1]) if top else None
-            estimates = None
-            groups = None
-            count = float(sum(getattr(s, "count", 0.0) or 0.0
-                              for s in groups_map.values()))
-        else:  # threshold_count over groups
+        estimates = None
+        groups = None
+        value = None
+        count = float(sum(getattr(s, "count", 0.0) or 0.0
+                          for s in groups_map.values()))
+        if spec.kind == "threshold_count":
             estimates, groups, value, solve_calls, solve_route = \
                 self._threshold_outcomes(spec, groups_map)
-            count = float(sum(getattr(s, "count", 0.0) or 0.0
-                              for s in groups_map.values()))
+        else:
+            # top_n ranks by the summaries' own estimation path (estimator
+            # "auto") whatever spec.estimator says, so aggregators without
+            # raw moments still rank under estimator="maxent".
+            scoring_spec = spec
+            if spec.kind == "top_n" and spec.estimator != "auto":
+                scoring_spec = replace(spec, estimator="auto")
+            arrays, solve_calls, solve_route = self._group_estimates(
+                scoring_spec, list(groups_map.values()))
+            if spec.kind == "group_by":
+                groups = {
+                    group: {qkey(q): float(est)
+                            for q, est in zip(spec.quantiles, array)}
+                    for group, array in zip(groups_map, arrays)}
+            else:
+                scored = sorted(((group, float(array[0]))
+                                 for group, array in zip(groups_map, arrays)),
+                                key=lambda pair: pair[1], reverse=True)
+                top = scored[:spec.n or 1]
+                value = top[0][1]
         solve = time.perf_counter() - start
         return QueryResponse(
             kind=spec.kind, backend=the_plan.backend_name, route=result.route,
             value=value, estimates=estimates, groups=groups, top=top,
-            bounds=bounds, count=count, cells_scanned=result.cells_scanned,
+            count=count, cells_scanned=result.cells_scanned,
             merges=result.merge_calls, shared_scan=shared,
             timings=QueryTimings(planner_seconds=timings.planner_seconds,
                                  merge_seconds=timings.merge_seconds,
                                  solve_seconds=solve, solve_calls=solve_calls,
                                  solve_route=solve_route))
-
-    def _top_n(self, spec: QuerySpec, groups_map: Mapping
-               ) -> tuple[list, int, str]:
-        """Bounds-pruned top-n ranking (Section 5's principle on ranking).
-
-        When every group is moments-backed and there are more groups
-        than ``n``, RTT rank bounds bracket each group's quantile and
-        groups whose best case cannot beat the n-th worst case are
-        discarded before any max-entropy solve.  The bracket bisection
-        runs all groups through :func:`rtt_bound_batch` per step (the
-        same brackets as :func:`_quantile_bracket`, so the same pruning)
-        and the surviving candidates share one batched solve.  Also
-        returns the solve-call count for the timings.
-        """
-        n = spec.n or 1
-        q = spec.q
-        sketches = {value: summary.sketch
-                    for value, summary in groups_map.items()
-                    if isinstance(summary, MomentsSummary)}
-        if len(sketches) == len(groups_map) and len(groups_map) > n:
-            lows, highs = _quantile_brackets_batch(list(sketches.values()), q)
-            brackets = {value: (lows[i], highs[i])
-                        for i, value in enumerate(sketches)}
-            floors = sorted((b[0] for b in brackets.values()), reverse=True)
-            cutoff = floors[n - 1]
-            candidates = [value for value, (lo, hi) in brackets.items()
-                          if hi >= cutoff]
-        else:
-            candidates = list(groups_map)
-        # Score with the summaries' own estimation path (estimator
-        # "auto"), exactly like the historical `summary.quantile(q)`
-        # scoring — top_n never consulted spec.estimator.
-        scoring_spec = (spec if spec.estimator == "auto"
-                        else replace(spec, estimator="auto"))
-        arrays, calls, route = self._group_estimates(
-            scoring_spec, [groups_map[value] for value in candidates])
-        scored = [(value, float(array[0]))
-                  for value, array in zip(candidates, arrays)]
-        scored.sort(key=lambda pair: pair[1], reverse=True)
-        return scored[:n], calls, route
 
     # ------------------------------------------------------------------
     # Windowed kind
@@ -611,59 +576,6 @@ def _repeated_rows(sketch: MomentsSketch, rows: int) -> ColumnarMoments:
     """A block holding ``sketch`` once per row, for per-row thresholds."""
     sketch.require_nonempty()
     return ColumnarMoments.from_sketches([sketch]).take(np.zeros(rows, int))
-
-
-def _quantile_bracket(sketch, q: float, bound_fn) -> tuple[float, float]:
-    """[lower, upper] interval guaranteed to contain the q-quantile.
-
-    Bisects on the threshold t: F(t) bounds from the moment inequalities
-    tell us whether the q-quantile must lie above or below t.  The
-    one-sketch reference that :func:`_quantile_brackets_batch` must
-    reproduce row for row.
-    """
-    lo, hi = sketch.min, sketch.max
-    target = q * sketch.count
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        bounds = bound_fn(sketch, mid)
-        if bounds.upper < target:
-            lo = mid          # quantile certainly above mid
-        elif bounds.lower > target:
-            hi = mid          # quantile certainly below mid
-        else:
-            break             # undecidable: the bracket is [lo, hi]
-    # Conservative expansion: the undecided region around mid belongs to
-    # both sides, so return the outer bracket.
-    return lo, hi
-
-
-def _quantile_brackets_batch(sketches: list, q: float
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_quantile_bracket` over cells.
-
-    Runs every group's bisection in lockstep, evaluating one
-    :func:`rtt_bound_batch` call per step over the still-undecided rows.
-    Each row probes exactly the midpoints the scalar bracket would, so
-    the returned ``[lower, upper]`` intervals — and therefore the top-n
-    pruning decisions — are identical.
-    """
-    moments = ColumnarMoments.from_sketches(sketches)
-    lows = moments.mins.copy()
-    highs = moments.maxs.copy()
-    targets = q * moments.counts
-    undecided = np.ones(len(moments), dtype=bool)
-    for _ in range(20):
-        rows = np.flatnonzero(undecided)
-        if rows.size == 0:
-            break
-        mids = 0.5 * (lows[rows] + highs[rows])
-        bounds = rtt_bound_batch(moments.take(rows), mids)
-        up = bounds.upper < targets[rows]    # quantile certainly above mid
-        down = bounds.lower > targets[rows]  # quantile certainly below mid
-        lows[rows[up]] = mids[up]
-        highs[rows[down]] = mids[down]
-        undecided[rows[~(up | down)]] = False  # bracket is [lo, hi]
-    return lows, highs
 
 
 def execute(spec, backend_obj, **adapter_kwargs) -> QueryResponse:

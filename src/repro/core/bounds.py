@@ -205,8 +205,8 @@ def markov_bound_batch(moments: ColumnarMoments, t,
     matrices: rows are grouped by their usable moment order and each
     group's binomial shifts, ratio tests, and min-reductions run
     stacked.  ``t`` may be one threshold for the whole block or a
-    per-row array (the top-n bracket bisection probes per-row
-    midpoints).  Every operation is element-wise per row, so
+    per-row array (a ``cdf`` query probes one threshold per row).
+    Every operation is element-wise per row, so
     ``markov_bound_batch(cm, t).row(i) == markov_bound(cm.sketch_at(i), t)``
     exactly, so a cell's Markov-stage cascade decision does not depend
     on its batch-mates.

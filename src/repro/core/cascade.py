@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (_rtt_bound_rows, markov_bound_batch, rtt_bound,
-                     rtt_bound_batch)
+from .bounds import _rtt_bound_rows, markov_bound_batch, rtt_bound_batch
 from .errors import BoundError, EmptySketchError
 from .params import check_q
 from .sketch import ColumnarMoments, MomentsSketch
@@ -204,18 +203,17 @@ class ThresholdCascade:
                          else moments.sketch_at(row) for row in undecided]
             from .batch_solver import fit_estimators
             estimators, _, _ = fit_estimators(survivors, self.config)
-            for position, row in enumerate(undecided):
-                estimator = estimators[position]
-                if estimator is None:
-                    # Non-convergent (near-discrete) cell: the only
-                    # sound degradation available is the CDF midpoint of
-                    # the RTT bounds.
-                    bounds = rtt_bound(survivors[position], t)
-                    lo, hi = bounds.fraction()
-                    results[row] = 0.5 * (lo + hi) < q
-                else:
-                    results[row] = estimator.quantile(q) > t
+            for row, estimator in zip(undecided, estimators):
                 stages[row] = "maxent"
+                if estimator is not None:
+                    results[row] = estimator.quantile(q) > t
+            failed = undecided[[e is None for e in estimators]]
+            if failed.size:
+                # Non-convergent (near-discrete) cells: the only sound
+                # degradation available is the CDF midpoint of the RTT
+                # bounds, one row-wise bound call for all of them.
+                lo, hi = rtt_bound_batch(moments.take(failed), t).fractions()
+                results[failed] = 0.5 * (lo + hi) < q
             stats.seconds += time.perf_counter() - start
             stats.resolved += int(undecided.size)
         return [ThresholdOutcome(bool(results[row]), stages[row])

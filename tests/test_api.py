@@ -246,23 +246,22 @@ class TestExecuteKinds:
                                                        rel=1e-6)
 
     def test_top_n_identical_to_legacy(self, engine):
-        # Bound pruning must not change the ranking of an unpruned scan
-        # that scores every group.
+        # top_n is a sort of the scores group_by gives every group, for
+        # every n (1, and more than the 8 groups) and q.
         service = QueryService(druid=engine)
-        response = service.execute(QuerySpec(
-            kind="top_n", quantiles=(0.99,), n=3,
-            measure="momentsSketch@10", group_dimension="version"))
-        every_group = service.execute(QuerySpec(
-            kind="group_by", quantiles=(0.99,),
-            measure="momentsSketch@10", group_dimension="version"))
-        legacy = sorted(((value, payload[qkey(0.99)])
-                         for value, payload in every_group.groups.items()),
-                        key=lambda pair: pair[1], reverse=True)[:3]
-        assert [value for value, _ in response.top] \
-            == [value for value, _ in legacy]
-        for (_, estimate), (_, expected) in zip(response.top, legacy):
-            assert estimate == pytest.approx(expected, rel=1e-9)
-        assert response.value == response.top[0][1]
+        for q in (0.5, 0.9, 0.99):
+            every_group = service.execute(QuerySpec(
+                kind="group_by", quantiles=(q,),
+                measure="momentsSketch@10", group_dimension="version"))
+            ranked = sorted(((value, payload[qkey(q)])
+                             for value, payload in every_group.groups.items()),
+                            key=lambda pair: pair[1], reverse=True)
+            for n in (1, 3, 5, 10):
+                response = service.execute(QuerySpec(
+                    kind="top_n", quantiles=(q,), n=n,
+                    measure="momentsSketch@10", group_dimension="version"))
+                assert response.top == ranked[:n], (n, q)
+                assert response.value == response.top[0][1]
 
     def test_windowed_matches_remerge(self, dataset):
         values, *_ = dataset

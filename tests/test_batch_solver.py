@@ -16,10 +16,9 @@ The layer's contract, asserted here:
 * a cell's cascade decision and stage are bit-identical alone (one-row
   ``evaluate``) or in a batch, and a maxent-stage decision is the
   scalar fit's answer;
-* the vectorized top-n brackets equal the scalar bracket bisection;
 * the query service reports one batched solve (not one per cell), with
   estimates, rankings and cascade decisions matching the per-group
-  references (scalar fits, brackets and per-cell cascades).
+  references (scalar fits and per-cell cascades).
 """
 
 import json
@@ -383,18 +382,6 @@ def reference_quantiles(groups, qs):
             for g, summary in groups.items()}
 
 
-class TestQuantileBrackets:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_batch_equals_scalar_bracket(self, seed, q):
-        from repro.api.service import (_quantile_bracket,
-                                       _quantile_brackets_batch)
-        sketches = make_sketches(seed=seed, count=16)
-        lows, highs = _quantile_brackets_batch(sketches, q)
-        expected = [_quantile_bracket(s, q, rtt_bound) for s in sketches]
-        assert list(zip(lows.tolist(), highs.tolist())) == expected
-
-
 class TestServiceBatchedRouting:
     @pytest.fixture(scope="class")
     def cube(self):
@@ -422,22 +409,18 @@ class TestServiceBatchedRouting:
 
     def test_top_n_identical_and_single_solve(self, cube):
         from repro.api import QueryService, QuerySpec
-        from repro.api.service import _quantile_bracket
         q, n = 0.99, 5
         spec = QuerySpec(kind="top_n", quantiles=(q,), n=n,
                          group_dimension="g")
         response = QueryService(cube=cube).execute(spec)
         groups = cube_groups(cube)
-        brackets = {g: _quantile_bracket(summary.sketch, q, rtt_bound)
-                    for g, summary in groups.items()}
-        cutoff = sorted((lo for lo, _ in brackets.values()), reverse=True)[n - 1]
-        candidates = {g: groups[g] for g, (_, hi) in brackets.items()
-                      if hi >= cutoff}
-        assert len(candidates) < len(groups)  # the brackets prune
-        scores = reference_quantiles(candidates, [q])
-        expected = sorted(candidates, key=lambda g: float(scores[g][0]),
+        assert len(groups) == 40
+        scores = reference_quantiles(groups, [q])
+        expected = sorted(groups, key=lambda g: float(scores[g][0]),
                           reverse=True)[:n]
         assert [v for v, _ in response.top] == expected
+        for group, score in response.top:
+            assert score == pytest.approx(scores[group][0], rel=1e-6)
         assert response.timings.solve_calls == 1
 
     def test_threshold_count_identical(self, cube):

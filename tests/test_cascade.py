@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import MomentsSketch
+from repro.core import MomentsSketch, fit_estimators
 from repro.core.cascade import STAGES, CascadeStats, ThresholdCascade
 from repro.core.quantile import QuantileEstimator
 
@@ -122,3 +122,27 @@ class TestDegradedPaths:
         cascade = ThresholdCascade()
         assert cascade.threshold(sketch, 5.0, 0.95) is True
         assert cascade.threshold(sketch, 5.0, 0.5) is False
+
+    def test_mixed_block_matches_one_row_evaluate(self):
+        # Two-point rows (no max-entropy fit) interleaved with lognormal
+        # rows (fitted): the non-convergent rows share one bound call, and
+        # every row's outcome and stage equal its one-row evaluate.
+        rng = np.random.default_rng(3)
+        two_point = [MomentsSketch.from_data([0.0] * low + [10.0] * (1000 - low),
+                                             k=10) for low in (900, 500, 200)]
+        lognormal = [MomentsSketch.from_data(rng.lognormal(1.0, 0.5, 4000),
+                                             k=10) for _ in range(3)]
+        block = [s for pair in zip(two_point, lognormal) for s in pair]
+        fitted, _, _ = fit_estimators(block, ThresholdCascade().config)
+        assert [e is None for e in fitted] == [True, False] * 3
+        mixed_maxent = False
+        for t in (3.0, 4.5, 5.0):
+            for q in (0.5, 0.9, 0.95):
+                outcomes = ThresholdCascade().evaluate_batch(block, t, q)
+                alone = [ThresholdCascade().evaluate(s, t, q) for s in block]
+                assert outcomes == alone, (t, q)
+                maxent = {row for row, o in enumerate(outcomes)
+                          if o.stage == "maxent"}
+                mixed_maxent |= (len(maxent & {0, 2, 4}) >= 2
+                                 and bool(maxent & {1, 3, 5}))
+        assert mixed_maxent  # the fallback ran beside fitted rows

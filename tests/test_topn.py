@@ -1,4 +1,4 @@
-"""Tests for the bound-pruned Druid topN-by-quantile query."""
+"""Tests for the Druid topN-by-quantile query."""
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ class TestTopN:
         assert [value for value, _ in result] == expected
 
     def test_works_for_non_moments_aggregator(self, engine):
-        # No pruning path for histograms: estimates everything, same answer.
+        # Histograms score through their own estimates: same ranking.
         result = top_n(engine, "S-Hist@100", "version", n=3, q=0.99)
         assert [value for value, _ in result] == brute_force_top(engine, 3, 0.99)
 
