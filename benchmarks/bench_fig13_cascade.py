@@ -3,7 +3,9 @@
 (a) threshold-query throughput as stages are added, (b) per-stage
 standalone throughput (cheap stages evaluate orders of magnitude faster
 than the max-entropy solve), (c) the fraction of queries reaching each
-stage (most resolve early).
+stage (most resolve early).  For every rung of (a) it also prints how
+many queries entered and how many were resolved by each stage, so a
+rung whose added stage is never reached shows as such.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ def test_fig13_cascade_stages(benchmark):
     def experiment():
         import time
         ladder_rows = []
+        reach_rows = []
         throughput = {}
         for label, stages in [("Baseline", ()), ("+Simple", ("simple",)),
                               ("+Markov", ("simple", "markov")),
@@ -42,6 +45,10 @@ def test_fig13_cascade_stages(benchmark):
             seconds = time.perf_counter() - start
             throughput[label] = len(sketches) / seconds
             ladder_rows.append([label, len(sketches) / seconds])
+            reach_rows.append([label] + [
+                f"{cascade.stats.stages[stage].entered}/"
+                f"{cascade.stats.stages[stage].resolved}"
+                for stage in STAGES])
 
         full = ThresholdCascade()
         for sketch in sketches:
@@ -55,11 +62,15 @@ def test_fig13_cascade_stages(benchmark):
                                stats.fraction_entered(stage),
                                stats.stages[stage].resolved])
             fractions[stage] = stats.fraction_entered(stage)
-        return ladder_rows, stage_rows, throughput, fractions
+        return ladder_rows, reach_rows, stage_rows, throughput, fractions
 
-    ladder_rows, stage_rows, throughput, fractions = run_once(benchmark, experiment)
+    ladder_rows, reach_rows, stage_rows, throughput, fractions = run_once(
+        benchmark, experiment)
     print_table("Figure 13a: threshold throughput as stages are added",
                 ["strategy", "queries/s"], ladder_rows)
+    print_table("Figure 13a: queries entered/resolved by each stage per rung",
+                ["strategy"] + [f"{stage} entered/resolved"
+                                for stage in STAGES], reach_rows)
     print_table("Figure 13b/c: per-stage throughput and reach",
                 ["stage", "stage throughput (q/s)", "fraction entered",
                  "resolved"], stage_rows)

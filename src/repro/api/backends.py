@@ -237,22 +237,17 @@ class DruidBackend(Backend):
         engine = self.engine
         aggregator = self._aggregator(spec)
         filters = spec.filters_dict()
-        start = time.perf_counter()
         if aggregator in engine._packed_names:
-            refs = engine._matching_packed_rows(aggregator, filters,
-                                                spec.interval)
-            planner = time.perf_counter() - start
-            scanned = sum(rows.size for _, rows in refs)
-            if scanned == 0:
+            rollup = engine.packed_rollup(aggregator, filters, spec.interval)
+            if rollup is None:
                 raise QueryError("query matched no cells")
-            start = time.perf_counter()
-            sketch = DruidEngine.fold_packed_refs(refs)
-            merged = engine._wrap_packed(aggregator, sketch)
-            return RollupResult(summary=_state_summary(merged),
-                                cells_scanned=scanned, merge_calls=len(refs),
-                                planner_seconds=planner,
-                                merge_seconds=time.perf_counter() - start,
+            return RollupResult(summary=_state_summary(rollup.state),
+                                cells_scanned=rollup.cells_scanned,
+                                merge_calls=rollup.segments,
+                                planner_seconds=rollup.locate_seconds,
+                                merge_seconds=rollup.merge_seconds,
                                 route="packed")
+        start = time.perf_counter()
         states = engine._matching_states(aggregator, filters, spec.interval)
         planner = time.perf_counter() - start
         if not states:

@@ -386,11 +386,11 @@ class DataNode:
                        ) -> list[ShardPartial]:
         """One merged partial per requested shard with matching cells.
 
-        Packed moments aggregators reduce each shard's matching rows with
-        vectorized per-segment ``batch_merge`` calls; other aggregators
-        fold their object states.  Either way a shard's partial is a
-        strict left fold over its cells in ingestion order, so it does
-        not depend on which replica computed it.
+        Packed moments aggregators roll each shard's matching rows up
+        with one :meth:`~repro.druid.DruidEngine.packed_rollup`; other
+        aggregators fold their object states.  Either way a shard's
+        partial depends only on the shard's cells and their ingestion
+        order, not on which replica computed it.
         """
         self._check_alive()
         # Telemetry rides along only when a broker span is active on this
@@ -409,16 +409,14 @@ class DataNode:
                         node=self.node_id, shard=shard, aggregator=aggregator)
                     if parent is not None else None)
             if aggregator in engine._packed_names:
-                refs = engine._matching_packed_rows(aggregator, filters,
-                                                    interval)
-                if not refs:
+                # The roll-up DruidBackend.rollup runs on a flat engine,
+                # which keeps shard partials bit-exact with shard-aligned
+                # single-process execution.
+                rollup = engine.packed_rollup(aggregator, filters, interval)
+                if rollup is None:
                     continue
-                scanned = sum(rows.size for _, rows in refs)
-                # The same fold DruidBackend.rollup runs on a flat
-                # engine, which is what keeps shard partials bit-exact
-                # with shard-aligned single-process execution.
-                sketch = DruidEngine.fold_packed_refs(refs)
-                state = engine._wrap_packed(aggregator, sketch)
+                scanned = rollup.cells_scanned
+                state = rollup.state
             else:
                 states = engine._matching_states(aggregator, filters, interval)
                 if not states:

@@ -21,16 +21,17 @@ every aggregator and differs only in merge/finalize cost.
 Moments-sketch aggregators are *packed* by default
 (``packed_moments=True``): each segment stores their per-cell states as
 rows of one :class:`~repro.store.PackedSketchStore` instead of individual
-state objects, and the broker merges a segment's matching rows with a
-single vectorized reduction (then folds the per-segment partials).  This
-is the columnar layout a real Druid historical keeps per segment, and it
-removes the per-merge interpreter overhead from the Eq. 2 merge term.
-Each segment's reduction is bit-for-bit identical to merging its cells
-sequentially; folding the per-segment partials associates the adds
-differently than one flat loop over all cells (just like the
-thread-pool shard fold does), so cross-segment aggregates can differ
-from the object layout at the last-ulp level.  Pass
-``packed_moments=False`` to benchmark the object-per-cell layout.
+state objects.  This is the columnar layout a real Druid historical
+keeps per segment, and it removes the per-merge interpreter overhead
+from the Eq. 2 merge term.  A time-range roll-up
+(:meth:`DruidEngine.packed_rollup`) locates each scanned segment's
+matching rows, one key lookup when the filter names every dimension,
+and folds all segments' partials in one stacked reduction, bit for bit
+the left fold of one ``batch_merge`` sketch per segment.  That fold
+associates the adds per segment, unlike one flat loop over all cells
+(just like the thread-pool shard fold does), so cross-segment
+aggregates can differ from the object layout at the last-ulp level.
+Pass ``packed_moments=False`` to benchmark the object-per-cell layout.
 """
 
 from __future__ import annotations
@@ -70,6 +71,18 @@ class Segment:
     @property
     def num_cells(self) -> int:
         return len(self.cells)
+
+
+@dataclass
+class PackedRollup:
+    """One :meth:`DruidEngine.packed_rollup`: the merged state, the cells
+    and segments it folded, and its locate and fold times."""
+
+    state: AggregatorState
+    cells_scanned: int
+    segments: int
+    locate_seconds: float
+    merge_seconds: float
 
 
 class DruidEngine:
@@ -184,61 +197,104 @@ class DruidEngine:
             raise QueryError(f"unknown aggregator {aggregator!r}; "
                              f"registered: {sorted(self.aggregators)}")
 
+    def _full_key(self, positions: Mapping[int, object]) -> tuple | None:
+        """The one cell key ``positions`` names, if it fixes every dimension."""
+        if len(positions) < len(self.dimensions):
+            return None
+        return tuple(positions[pos] for pos in range(len(self.dimensions)))
+
+    @staticmethod
+    def _matching(table: Mapping[tuple, object], key: tuple | None,
+                  positions: Mapping[int, object]) -> list:
+        """Values of a cell-keyed ``table`` whose key passes the filter, in
+        table order: one lookup for a full ``key``, every value without a
+        filter, else a key scan."""
+        if key is not None:
+            hit = table.get(key)
+            return [] if hit is None else [hit]
+        if not positions:
+            return list(table.values())
+        return [value for cell, value in table.items()
+                if all(cell[pos] == want for pos, want in positions.items())]
+
     def _matching_states(self, aggregator: str,
                          filters: Mapping[str, object] | None,
                          interval: tuple[float, float] | None
                          ) -> list[AggregatorState]:
         self._check_aggregator(aggregator)
         positions = self._filter_positions(filters)
-        states = []
-        for segment in self._scanned_segments(interval):
-            for key, cell in segment.cells.items():
-                if all(key[pos] == value for pos, value in positions.items()):
-                    states.append(cell[aggregator])
-        return states
+        key = self._full_key(positions)
+        return [cell[aggregator]
+                for segment in self._scanned_segments(interval)
+                for cell in self._matching(segment.cells, key, positions)]
 
-    def _matching_packed_rows(self, aggregator: str,
-                              filters: Mapping[str, object] | None,
-                              interval: tuple[float, float] | None
-                              ) -> list[tuple[PackedSketchStore, np.ndarray]]:
-        """Per-segment (store, matching row indices) pairs for a scan."""
+    def packed_rollup(self, aggregator: str,
+                      filters: Mapping[str, object] | None,
+                      interval: tuple[float, float] | None
+                      ) -> PackedRollup | None:
+        """Roll a packed aggregator's matching cells up in one reduction.
+
+        The one fold shared by the broker adapter and the cluster layer's
+        per-shard partials; bit-exactness across those layers depends on
+        both using it.  ``None`` when no cell matches.
+
+        * **Locate** walks the scanned segments in insertion order and
+          picks each one's matching rows: one ``packed_rows`` lookup when
+          ``filters`` name every dimension, a key scan for a partial
+          filter, all live rows without one.
+        * **Fold** is the left fold of one partial per segment, the
+          segment's :meth:`PackedSketchStore.batch_merge`.  Every partial
+          but the last adds in one stacked reduction
+          (:meth:`PackedSketchStore.merge_selections`); the last one's
+          ``batch_merge`` sketch then merges in with
+          :meth:`MomentsSketch.merge`.  The result is bit for bit the
+          per-segment ``batch_merge``/``merge`` loop, including
+          ``merge``'s log rule.
+        """
+        start = time.perf_counter()
         self._check_aggregator(aggregator)
         positions = self._filter_positions(filters)
-        refs = []
+        key = self._full_key(positions)
+        picks: list[tuple[PackedSketchStore, object]] = []
+        scanned = 0
         for segment in self._scanned_segments(interval):
             store = segment.packed.get(aggregator)
             if store is None:
                 continue
-            rows = segment.packed_rows[aggregator]
             if positions:
-                matching = np.fromiter(
-                    (row for key, row in rows.items()
-                     if all(key[pos] == value
-                            for pos, value in positions.items())),
-                    dtype=np.intp)
+                matching = self._matching(segment.packed_rows[aggregator],
+                                          key, positions)
+                n = len(matching)
+                if n == 0:
+                    continue
+                sel = (matching[0] if n == 1
+                       else np.array(matching, dtype=np.intp))
             else:
-                matching = np.fromiter(rows.values(), dtype=np.intp)
-            if matching.size:
-                refs.append((store, matching))
-        return refs
-
-    @staticmethod
-    def fold_packed_refs(refs: list[tuple[PackedSketchStore, np.ndarray]]
-                         ) -> MomentsSketch | None:
-        """Left-fold per-segment packed reductions (``None`` if empty).
-
-        The one fold order shared by the broker adapter and the cluster
-        layer's per-shard partials: each segment's rows reduce with one
-        vectorized ``batch_merge`` and the per-segment partials merge
-        sequentially in ``refs`` order.  Bit-exactness guarantees across
-        those layers depend on both using exactly this fold.
-        """
-        if not refs:
+                n = store.size
+                if n == 0:
+                    continue
+                sel = None
+            picks.append((store, sel))
+            scanned += n
+        locate_seconds = time.perf_counter() - start
+        if not picks:
             return None
-        sketch = refs[0][0].batch_merge(refs[0][1])
-        for store, rows in refs[1:]:
-            sketch.merge(store.batch_merge(rows))
-        return sketch
+        start = time.perf_counter()
+        # The last partial goes through batch_merge and merge, so range
+        # roll-ups still reach the store.merge and core.sketch_merge
+        # spans that bench/tests/test_bench_runs.py expects of them.
+        *head, (store, sel) = picks
+        last = store.batch_merge(sel)
+        if head:
+            sketch = PackedSketchStore.merge_selections(head)
+            sketch.merge(last)
+        else:
+            sketch = last
+        state = self._wrap_packed(aggregator, sketch)
+        return PackedRollup(state=state, cells_scanned=scanned,
+                            segments=len(picks),
+                            locate_seconds=locate_seconds,
+                            merge_seconds=time.perf_counter() - start)
 
     def _wrap_packed(self, aggregator: str, sketch: MomentsSketch
                      ) -> AggregatorState:

@@ -26,6 +26,9 @@ so that
   reduction over a C-contiguous matrix accumulates rows in order, the
   result is *bit-for-bit* identical to the sequential
   :func:`~repro.core.sketch.merge_all` fold over the same sketches;
+* :meth:`merge_selections` folds row subsets of many stores (a Druid
+  time range's segments) the same way, as one stacked reduction over
+  their per-store partials;
 * :meth:`batch_accumulate` ingests (row, value) pairs with one shared
   Vandermonde matrix and segmented ``np.add.reduceat`` reductions;
 * :meth:`to_bytes` / :meth:`from_bytes` serialize the whole store as one
@@ -65,6 +68,38 @@ _MIN_CAPACITY = 8
 #: and one ``add.reduce`` per group cost the same at about 16 rows a
 #: group (2-vCPU x86, k = 10, both columns).
 _FOLD_TOGETHER = 16
+
+
+def _fold(blocks: Sequence[np.ndarray], one_row: bool) -> np.ndarray:
+    """Sequential sum of each block's rows, then of the block sums.
+
+    Both levels are axis-0 ``add.reduce`` over C-contiguous matrices,
+    which numpy runs as a left fold, row by row.  ``one_row`` says every
+    block is one row, so the rows are the block sums.
+    """
+    if one_row:
+        sums = _concat(blocks)
+    else:
+        sums = np.array([block[0] if len(block) == 1
+                         else np.add.reduce(block, axis=0)
+                         for block in blocks])
+    return np.add.reduce(sums, axis=0)
+
+
+def _concat(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _extreme(ufunc: np.ufunc, pick, blocks: Sequence[np.ndarray]) -> float:
+    """``ufunc`` (``np.minimum``/``np.maximum``) over every row of
+    ``blocks``, as per-block reductions folded by strict comparison give
+    it.  Only a zero extreme can differ, in its sign, so only then is it
+    taken per block; ``pick`` (``min``/``max``) keeps the first of
+    equal values."""
+    value = float(ufunc.reduce(_concat(blocks)))
+    if value == 0.0:
+        value = pick(float(ufunc.reduce(block)) for block in blocks)
+    return value
 
 
 class PackedSketchStore:
@@ -365,18 +400,57 @@ class PackedSketchStore:
                     sel = slice(first, first + n)
         if n == 0:
             raise EmptySketchError("batch_merge needs at least one row")
-        out = MomentsSketch(self.k, self.track_log)
-        out.power_sums = np.add.reduce(self._rows_of(self.power_sums, sel),
-                                       axis=0)
+        return self.merge_selections([(self, sel)])
+
+    @staticmethod
+    def merge_selections(selections: Sequence[tuple["PackedSketchStore",
+                                                    object]]
+                         ) -> MomentsSketch:
+        """Left-fold row subsets of one or more stores into a fresh sketch.
+
+        ``selections`` pairs stores of one order ``k`` with a non-empty
+        row selection each: one row, a slice, a validated index array,
+        or ``None`` for every live row.  The result is bit for
+        bit the sequential ``merge`` of each pair's :meth:`batch_merge`:
+        a pair's rows and then the pairs' partial sums stack into
+        matrices that axis-0 ``add.reduce`` folds in order, and log sums
+        stop adding at the first pair holding a log-invalid row, as
+        ``MomentsSketch.merge`` does.  :meth:`batch_merge` is its
+        one-pair case.
+        """
+        blocks, sizes = [], []
+        for store, sel in selections:
+            if sel is None:
+                sel = slice(0, store._size)
+            elif isinstance(sel, (int, np.integer)):
+                sel = slice(sel, sel + 1)
+            columns = (store.power_sums, store.log_sums, store.mins,
+                       store.maxs, store.log_valid)
+            if isinstance(sel, slice):
+                blocks.append([column[sel] for column in columns])
+            else:
+                blocks.append([store._rows_of(column, sel)
+                               for column in columns])
+            sizes.append(len(blocks[-1][2]))
+        power, logs, mins, maxs, valid = zip(*blocks)
+        one_row = len(sizes) == sum(sizes)
+        first = selections[0][0]
+        out = MomentsSketch(first.k, first.track_log)
+        out.power_sums = _fold(power, one_row)
         out.count = float(out.power_sums[0])
-        out.min = float(np.min(self._rows_of(self.mins, sel)))
-        out.max = float(np.max(self._rows_of(self.maxs, sel)))
-        if self.track_log:
-            valid = bool(np.all(self._rows_of(self.log_valid, sel)))
-            out.log_valid = valid
-            if valid:
-                out.log_sums = np.add.reduce(
-                    self._rows_of(self.log_sums, sel), axis=0)
+        out.min = _extreme(np.minimum, min, mins)
+        out.max = _extreme(np.maximum, max, maxs)
+        if out.track_log:
+            flags = _concat(valid)
+            if flags.all():
+                prefix = len(sizes)
+            else:
+                # Pairs before the one holding the first invalid row.
+                prefix = int(np.searchsorted(np.cumsum(sizes),
+                                             np.argmin(flags), side="right"))
+            out.log_valid = prefix == len(sizes)
+            if prefix:
+                out.log_sums = _fold(logs[:prefix], one_row)
         return out
 
     @staticmethod

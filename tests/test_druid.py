@@ -209,3 +209,205 @@ class TestPackedMoments:
         packed, plain = engine_pair
         assert query(packed, "sum").value == pytest.approx(
             query(plain, "sum").value, rel=1e-12)
+
+
+def reference_rollup(engine, aggregator, filters=None, interval=None):
+    """The two-step packed fold ``DruidEngine.packed_rollup`` replaced,
+    kept as its reference: per scanned segment (insertion order) a key
+    scan for the matching rows and one ``batch_merge`` over them, then
+    the per-segment sketches merged left to right.  Returns ``(sketch,
+    cells_scanned, segments)``, or ``None`` when no cell matches."""
+    positions = engine._filter_positions(filters)
+    refs = []
+    for segment in engine._scanned_segments(interval):
+        store = segment.packed.get(aggregator)
+        if store is None:
+            continue
+        matching = np.fromiter(
+            (row for key, row in segment.packed_rows[aggregator].items()
+             if all(key[pos] == value for pos, value in positions.items())),
+            dtype=np.intp)
+        if matching.size:
+            refs.append((store, matching))
+    if not refs:
+        return None
+    sketch = refs[0][0].batch_merge(refs[0][1])
+    for store, rows in refs[1:]:
+        sketch.merge(store.batch_merge(rows))
+    return sketch, sum(rows.size for _, rows in refs), len(refs)
+
+
+def reference_states(engine, aggregator, filters=None, interval=None):
+    """The object route's key scan: matching states in scan order."""
+    positions = engine._filter_positions(filters)
+    return [cell[aggregator]
+            for segment in engine._scanned_segments(interval)
+            for key, cell in segment.cells.items()
+            if all(key[pos] == value for pos, value in positions.items())]
+
+
+def moments_payload(sketch):
+    return {"count": sketch.count, "min": sketch.min, "max": sketch.max,
+            "power_sums": [float(v) for v in sketch.power_sums],
+            "log_sums": [float(v) for v in sketch.log_sums],
+            "log_valid": bool(sketch.log_valid)}
+
+
+#: Granularity 10 s.  The first write fills chunks 4..11, a later one
+#: creates the older chunks 0..3, so segment insertion order is
+#: 4..11, 0..3 and differs from chunk order.
+ROLLUP_WRITES = ((40.0, 120.0), (0.0, 40.0))
+
+ROLLUP_FILTERS = ({}, {"grid": 1}, {"country": "US"},
+                  {"grid": 1, "country": "US"},
+                  {"grid": 2, "country": "CA"},
+                  {"grid": 7, "country": "US"})
+
+#: None, partial, on chunk edges (hi on a chunk's first instant scans
+#: that chunk), across the insertion-order wrap, and past every chunk.
+ROLLUP_INTERVALS = (None, (45.0, 95.0), (40.0, 80.0), (40.0, 79.999),
+                    (0.0, 59.0), (25.0, 115.0), (500.0, 600.0))
+
+#: (chunk, value) of one non-positive value written into cell (1, "US"):
+#: none, then in the first (4), a middle (9) and the last (3) segment
+#: of a full scan.
+NON_POSITIVE = (None, (4, -1.0), (9, 0.0), (3, -2.5))
+
+
+def write_rollup_rows(write, rng, non_positive):
+    """Feed ROLLUP_WRITES (and a non-positive value) to ``write(ts,
+    dims, values)``."""
+    for lo, hi in ROLLUP_WRITES:
+        n = 2_000
+        write(rng.uniform(lo, hi, n),
+              [rng.integers(0, 3, n), rng.choice(["US", "CA"], n)],
+              rng.lognormal(1.0, 1.0, n))
+    if non_positive is not None:
+        chunk, value = non_positive
+        write(np.array([chunk * 10.0 + 5.0]),
+              [np.array([1]), np.array(["US"])], np.array([value]))
+
+
+class TestPackedRollupReference:
+    """``packed_rollup`` is byte-identical to the two-step fold."""
+
+    @pytest.fixture(scope="class",
+                    params=[(k, bad) for k in (6, 16) for bad in NON_POSITIVE],
+                    ids=lambda p: f"k{p[0]}-{p[1]}")
+    def rollup_engine(self, request):
+        k, bad = request.param
+        engine = DruidEngine(
+            dimensions=("grid", "country"),
+            aggregators={"m": MomentsSketchAggregator(k=k),
+                         "sum": DoubleSumAggregator()},
+            granularity=10.0, processing_threads=1)
+        write_rollup_rows(engine.ingest, np.random.default_rng(k), bad)
+        assert list(engine.segments) == [4, 5, 6, 7, 8, 9, 10, 11,
+                                         0, 1, 2, 3]
+        return engine
+
+    @pytest.mark.parametrize("filters", ROLLUP_FILTERS)
+    def test_bytes_and_counts_match_reference(self, rollup_engine, filters):
+        for interval in ROLLUP_INTERVALS:
+            expected = reference_rollup(rollup_engine, "m", filters,
+                                        interval)
+            got = rollup_engine.packed_rollup("m", filters, interval)
+            if expected is None:
+                assert got is None
+                continue
+            sketch, scanned, segments = expected
+            assert got.state.summary.sketch.to_bytes() == sketch.to_bytes()
+            assert (got.cells_scanned, got.segments) == (scanned, segments)
+
+    @pytest.mark.parametrize("filters", ROLLUP_FILTERS)
+    def test_response_matches_reference(self, rollup_engine, filters):
+        service = QueryService(druid=rollup_engine)
+        for interval in ROLLUP_INTERVALS:
+            spec = QuerySpec(kind="quantile", quantiles=(0.5,), measure="m",
+                             filters=filters, interval=interval,
+                             report_moments=True)
+            expected = reference_rollup(rollup_engine, "m", filters,
+                                        interval)
+            if expected is None:
+                with pytest.raises(QueryError, match="matched no cells"):
+                    service.execute(spec)
+                continue
+            sketch, scanned, segments = expected
+            response = service.execute(spec)
+            assert response.moments == moments_payload(sketch)
+            assert (response.cells_scanned, response.merges) == \
+                (scanned, segments)
+
+    def test_invalid_result_keeps_prefix_log_sums(self, rollup_engine):
+        """Once a partial is log-invalid, later log sums stop adding."""
+        sketch = rollup_engine.packed_rollup(
+            "m", {"grid": 1, "country": "US"}, None).state.summary.sketch
+        rows = [(segment.packed["m"], segment.packed_rows["m"].get((1, "US")))
+                for segment in rollup_engine.segments.values()]
+        valid = [bool(store.log_valid[row]) for store, row in rows
+                 if row is not None]
+        prefix = valid.index(False) if False in valid else len(valid)
+        expected = np.zeros(sketch.k + 1)
+        for store, row in [pair for pair in rows if pair[1] is not None][:prefix]:
+            expected = expected + store.log_sums[row]
+        assert sketch.log_valid == (prefix == len(valid))
+        assert np.array_equal(sketch.log_sums, expected)
+
+    @pytest.mark.parametrize("filters", ROLLUP_FILTERS)
+    def test_object_route_keeps_state_order(self, rollup_engine, filters):
+        for interval in ROLLUP_INTERVALS:
+            got = rollup_engine._matching_states("sum", filters, interval)
+            expected = reference_states(rollup_engine, "sum", filters,
+                                        interval)
+            assert [id(state) for state in got] == \
+                [id(state) for state in expected]
+
+
+@pytest.mark.parametrize("values", [
+    ((1.0, 0.0), (2.0, -0.0), (3.0, 0.0)),
+    ((1.0, -0.0), (2.0, 0.0), (3.0, -0.0)),
+    ((-1.0, 0.0), (-2.0, -0.0), (-3.0, 0.0)),
+    ((-1.0, -0.0), (-2.0, 0.0), (-3.0, -0.0)),
+])
+def test_signed_zero_extremes_match_reference(values):
+    """A zero min or max keeps the sign the per-segment fold gives it."""
+    engine = DruidEngine(dimensions=("cell",),
+                         aggregators={"m": MomentsSketchAggregator(k=6)},
+                         granularity=1.0)
+    for chunk, chunk_values in enumerate(values):
+        for cell in (0, 1):
+            engine.ingest(np.full(2, chunk + 0.5), [np.full(2, cell)],
+                          np.array(chunk_values))
+    for filters in ({}, {"cell": 1}):
+        sketch = engine.packed_rollup("m", filters, None).state.summary.sketch
+        assert sketch.to_bytes() == \
+            reference_rollup(engine, "m", filters)[0].to_bytes()
+
+
+@pytest.mark.parametrize("bad", NON_POSITIVE)
+def test_shard_partials_match_reference(bad):
+    from repro.cluster.node import DataNode
+
+    node = DataNode("n0", dimensions=("grid", "country"),
+                    aggregators={"m": MomentsSketchAggregator(k=10)},
+                    granularity=10.0)
+    rng = np.random.default_rng(5)
+    for shard in (0, 1):
+        write_rollup_rows(
+            lambda ts, dims, values, shard=shard:
+                node.ingest_shard(shard, ts, dims, values),
+            rng, bad)
+    for filters in ROLLUP_FILTERS:
+        for interval in ROLLUP_INTERVALS:
+            partials = {partial.shard: partial for partial in
+                        node.shard_partials("m", [0, 1], filters, interval)}
+            for shard in (0, 1):
+                expected = reference_rollup(node.shards[shard], "m",
+                                            filters, interval)
+                if expected is None:
+                    assert shard not in partials
+                    continue
+                partial = partials[shard]
+                assert partial.state.summary.sketch.to_bytes() == \
+                    expected[0].to_bytes()
+                assert partial.cells_scanned == expected[1]

@@ -153,6 +153,41 @@ class TestBatchMergeEquivalence:
             store.batch_merge([[0]])
 
 
+class TestMergeSelections:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(sketch_batches, min_size=1, max_size=5), st.data())
+    def test_matches_fold_of_per_store_batch_merge(self, store_batches,
+                                                   data):
+        """Bit for bit (``to_bytes``) the sequential merge of each pair's
+        batch_merge, log rule and signed-zero extremes included."""
+        selections = []
+        for batches in store_batches:
+            store = PackedSketchStore.from_sketches(build_sketches(batches))
+            n = len(store)
+            kind = data.draw(st.sampled_from(["all", "row", "slice",
+                                              "array"]))
+            if kind == "all":
+                sel = None
+            elif kind == "row":
+                sel = data.draw(st.integers(0, n - 1))
+            elif kind == "slice":
+                lo = data.draw(st.integers(0, n - 1))
+                sel = slice(lo, data.draw(st.integers(lo + 1, n)))
+            else:
+                sel = np.array(data.draw(st.lists(
+                    st.integers(0, n - 1), min_size=1, max_size=12)),
+                    dtype=np.intp)
+            selections.append((store, sel))
+        expected = None
+        for store, sel in selections:
+            if isinstance(sel, slice):
+                sel = np.arange(sel.start, sel.stop)
+            partial = store.batch_merge(sel)
+            expected = partial if expected is None else expected.merge(partial)
+        got = PackedSketchStore.merge_selections(selections)
+        assert got.to_bytes() == expected.to_bytes()
+
+
 class TestBatchAccumulate:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(
