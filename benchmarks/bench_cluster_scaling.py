@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
 
     reference = DruidEngine(dimensions=("cell",),
                             aggregators={"value": MomentsSketchAggregator()},
-                            granularity=1.0, processing_threads=1)
+                            granularity=1.0)
     reference.ingest(timestamps, [cells], values)
     spec = QuerySpec(kind="quantile", quantiles=QUANTILES,
                      report_moments=True)

@@ -25,7 +25,6 @@ def _build_engine(values: np.ndarray) -> DruidEngine:
         dimensions=("grid", "country"),
         aggregators=registry(moment_orders=(10,), histogram_bins=(10, 100, 1000)),
         granularity=3600.0,
-        processing_threads=2,
     )
     engine.ingest(rng.uniform(0, 24 * 3600, n),
                   [rng.integers(0, 40, n), rng.choice(["IT", "FR", "DE"], n)],

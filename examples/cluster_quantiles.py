@@ -59,7 +59,7 @@ def main() -> int:
     backend = as_backend(cluster)
     single = DruidEngine(dimensions=("endpoint",),
                          aggregators={"latency": MomentsSketchAggregator()},
-                         granularity=1.0, processing_threads=1)
+                         granularity=1.0)
     single.ingest(timestamps, [endpoint], latency_ms)
     service = QueryService(cluster=backend, druid=single)
 

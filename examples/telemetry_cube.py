@@ -43,7 +43,6 @@ def main() -> None:
         dimensions=("country", "version", "os"),
         aggregators=registry(moment_orders=(10,), histogram_bins=(100,)),
         granularity=3600.0,          # hourly segments
-        processing_threads=2,
     )
     start = time.perf_counter()
     engine.ingest(timestamps, dims, latencies)

@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.errors import QueryError
+from ..core.grouping import filter_positions, matching_items
 from ..core.sketch import MomentsSketch
 from ..core.solver import SolverConfig
 from ..datacube.cube import DataCube
@@ -292,7 +293,9 @@ class PackedStoreBackend(Backend):
 
     ``keys`` (optional) maps each row to its dimension tuple, enabling
     filters and group-bys; ``dimensions`` names the tuple positions.
-    ``rows`` restricts the backend to a row subset.
+    ``rows`` restricts the backend to a row subset.  Filters locate rows
+    through a table, built once, from each key to the positions in
+    ``rows`` it labels (several rows may share a key).
     """
 
     name = "packed"
@@ -313,6 +316,10 @@ class PackedStoreBackend(Backend):
                      else np.asarray(rows, dtype=np.intp))
         if self.keys is not None and len(self.keys) != len(store):
             raise QueryError("need one key tuple per store row")
+        self._table: dict[tuple, list[int]] = {}
+        if self.keys is not None:
+            for index, row in enumerate(self.rows.tolist()):
+                self._table.setdefault(self.keys[row], []).append(index)
 
     def cache_target(self):
         return self.store
@@ -323,33 +330,24 @@ class PackedStoreBackend(Backend):
         summary.sketch = sketch
         return summary
 
-    def _positions(self, filters: dict) -> dict[int, object]:
-        if not filters:
-            return {}
-        if self.keys is None:
+    def _matching(self, filters: dict) -> tuple[np.ndarray, list[tuple]]:
+        """The rows passing ``filters`` and their keys, in ``rows`` order."""
+        if filters and self.keys is None:
             raise QueryError("this packed store has no dimensions to filter on")
-        positions = {}
-        for dim, value in filters.items():
-            if dim not in self.dimensions:
-                raise QueryError(f"unknown dimension {dim!r}; "
-                                 f"have {self.dimensions}")
-            positions[self.dimensions.index(dim)] = value
-        return positions
-
-    def _matching_rows(self, filters: dict) -> np.ndarray:
-        positions = self._positions(filters)
-        if not positions:
-            return self.rows
-        return np.asarray(
-            [row for row in self.rows
-             if all(self.keys[row][pos] == value
-                    for pos, value in positions.items())], dtype=np.intp)
+        picks = sorted(
+            (index, key) for key, indices in matching_items(
+                self._table, filter_positions(self.dimensions, filters),
+                len(self.dimensions))
+            for index in indices)
+        return (self.rows[[index for index, _ in picks]],
+                [key for _, key in picks])
 
     def rollup(self, spec: QuerySpec) -> RollupResult:
         if spec.interval is not None:
             raise QueryError("the packed-store backend has no time axis")
         start = time.perf_counter()
-        rows = self._matching_rows(spec.filters_dict())
+        filters = spec.filters_dict()
+        rows = self._matching(filters)[0] if filters else self.rows
         planner = time.perf_counter() - start
         if rows.size == 0:
             raise QueryError(f"no cells match filter {spec.filters_dict()}")
@@ -367,10 +365,10 @@ class PackedStoreBackend(Backend):
             raise QueryError(f"unknown dimension {spec.group_dimension!r}")
         position = self.dimensions.index(spec.group_dimension)
         start = time.perf_counter()
-        rows = self._matching_rows(spec.filters_dict())
+        rows, keys = self._matching(spec.filters_dict())
         if rows.size == 0:
             raise QueryError(f"no cells match filter {spec.filters_dict()}")
-        group_keys = [self.keys[row][position] for row in rows]
+        group_keys = [key[position] for key in keys]
         planner = time.perf_counter() - start
         start = time.perf_counter()
         groups = {value: self._wrap(sketch) for value, sketch

@@ -437,7 +437,7 @@ def cmd_cluster_demo(args: argparse.Namespace) -> dict:
     cluster.ingest(timestamps, [cells], values)
 
     reference = DruidEngine(dimensions=("cell",), aggregators=aggregators,
-                            granularity=1.0, processing_threads=1)
+                            granularity=1.0)
     reference.ingest(timestamps, [cells], values)
 
     backend = as_backend(cluster, threads=args.threads)

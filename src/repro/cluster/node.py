@@ -5,10 +5,9 @@ per shard it hosts, so ingestion runs through the *existing* Druid-style
 roll-up path (time-bucketed cells, packed per-segment
 :class:`~repro.store.PackedSketchStore` rows for moments aggregators)
 and node-local scans reuse the engine's packed vectorized reductions.
-Shard engines run with ``processing_threads=1``: parallelism in the
-cluster comes from the broker fanning out *across nodes*, and a
-single-threaded node-local fold keeps every shard partial a strict left
-fold — which is what makes replicas interchangeable bit-for-bit.
+Parallelism in the cluster comes from the broker fanning out *across
+nodes*; every shard partial is the engine's strict left fold, which is
+what makes replicas interchangeable bit-for-bit.
 
 The unit of replication and rebalance is the shard snapshot
 (:meth:`DataNode.export_shard` / :meth:`DataNode.import_shard`): packed
@@ -133,7 +132,6 @@ class DataNode:
             engine = DruidEngine(dimensions=self.dimensions,
                                  aggregators=self.aggregators,
                                  granularity=self.granularity,
-                                 processing_threads=1,
                                  packed_moments=self.packed_moments)
             self.shards[shard] = engine
         return engine
@@ -167,7 +165,6 @@ class DataNode:
         engine = DruidEngine(dimensions=self.dimensions,
                              aggregators=self.aggregators,
                              granularity=self.granularity,
-                             processing_threads=1,
                              packed_moments=self.packed_moments)
         for segment in snapshot.segments:
             engine.segments[segment.chunk] = segment
@@ -292,7 +289,6 @@ class DataNode:
         engine = DruidEngine(dimensions=self.dimensions,
                              aggregators=self.aggregators,
                              granularity=self.granularity,
-                             processing_threads=1,
                              packed_moments=self.packed_moments)
         for entry in manifest["segments"]:
             reader = open_segment(directory / entry["file"])

@@ -331,8 +331,8 @@ def newton_system(B: np.ndarray, wf: np.ndarray, d: np.ndarray
     return grad, hessian
 
 
-def solve(basis: MaxEntBasis, config: SolverConfig | None = None,
-          theta0: np.ndarray | None = None) -> MaxEntResult:
+def solve(basis: MaxEntBasis, config: SolverConfig | None = None
+          ) -> MaxEntResult:
     """Run damped Newton on the dual potential L(theta) (Appendix A.1).
 
     Raises :class:`ConvergenceError` when the iteration fails — the paper
@@ -346,9 +346,8 @@ def solve(basis: MaxEntBasis, config: SolverConfig | None = None,
     d = basis.targets
     m = basis.size
 
-    theta = np.zeros(m) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    if theta0 is None:
-        theta[0] = np.log(0.5)  # uniform density integrating to 1 on [-1, 1]
+    theta = np.zeros(m)
+    theta[0] = np.log(0.5)  # uniform density integrating to 1 on [-1, 1]
 
     def potential(th: np.ndarray) -> float:
         return dual_potential(th, B, w, d)

@@ -37,12 +37,14 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.errors import QueryError
-from ..core.grouping import lexsort_groups
+from ..core.grouping import (accumulate_columns, filter_positions,
+                              first_seen_rows, group_keys, lexsort_groups,
+                              matching_items)
 from ..core.sketch import MomentsSketch
 from ..store import PackedSketchStore
 from ..summaries.base import QuantileSummary
@@ -157,43 +159,20 @@ class DataCube:
         ``dimension_columns`` holds one array per schema dimension, aligned
         with ``values``.  Grouping is vectorized (lexicographic sort +
         boundary detection), so ingestion is a single pass; on the packed
-        backend the per-cell accumulation itself is one shared Vandermonde
-        pass via :meth:`PackedSketchStore.batch_accumulate`.
+        backend the per-cell accumulation itself is the shared keyed
+        kernel :func:`~repro.core.grouping.accumulate_columns`, bit for
+        bit the dict backend's per-cell accumulate.
         """
+        if self._packed:
+            return accumulate_columns(
+                self._store, first_seen_rows(self._store, self._rows),
+                dimension_columns, values)
         values = np.asarray(values, dtype=float)
         order, sorted_cols, _, starts, ends = \
             lexsort_groups(dimension_columns)
         sorted_values = values[order]
-        if self._packed:
-            group_rows = np.empty(starts.size, dtype=np.intp)
-            for i, start in enumerate(starts):
-                key = tuple(col[start] for col in sorted_cols)
-                row = self._rows.get(key)
-                if row is None:
-                    row = self._store.new_row()
-                    self._rows[key] = row
-                group_rows[i] = row
-            sizes = ends - starts
-            # Slab the accumulation at group boundaries so the transient
-            # Vandermonde matrix stays bounded (~slab values, or one
-            # group if a single group exceeds it) while each cell still
-            # receives its whole batch in one call — keeping results
-            # bit-for-bit equal to the dict backend's per-cell accumulate.
-            slab = 500_000
-            span_start = 0
-            pending = 0
-            for i in range(starts.size):
-                pending += sizes[i]
-                if pending >= slab or i == starts.size - 1:
-                    self._store.batch_accumulate(
-                        np.repeat(group_rows[span_start:i + 1],
-                                  sizes[span_start:i + 1]),
-                        sorted_values[starts[span_start]:ends[i]])
-                    span_start = i + 1
-                    pending = 0
-            return int(starts.size)
-        for start, end in zip(starts, ends):
-            key = tuple(col[start] for col in sorted_cols)
+        for key, start, end in zip(group_keys(sorted_cols, starts),
+                                   starts, ends):
             cell = self.cells.get(key)
             if cell is None:
                 cell = self.summary_factory()
@@ -231,29 +210,13 @@ class DataCube:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def matching_cells(self, filters: Mapping[str, object] | None = None
-                       ) -> Iterable[tuple[CellKey, QuantileSummary]]:
-        """Cells whose key matches every (dimension == value) filter."""
-        if not filters:
-            yield from self.cells.items()
-            return
-        positions = {self.schema.index_of(dim): value
-                     for dim, value in filters.items()}
-        for key, summary in self.cells.items():
-            if all(key[pos] == value for pos, value in positions.items()):
-                yield key, summary
-
-    def _matching_rows(self, filters: Mapping[str, object] | None
-                       ) -> np.ndarray:
-        """Packed-backend row indices matching a filter, insertion order."""
-        if not filters:
-            rows: Iterable[int] = self._rows.values()
-        else:
-            positions = {self.schema.index_of(dim): value
-                         for dim, value in filters.items()}
-            rows = (row for key, row in self._rows.items()
-                    if all(key[pos] == value for pos, value in positions.items()))
-        return np.fromiter(rows, dtype=np.intp)
+    def _matching(self, filters: Mapping[str, object] | None) -> list:
+        """``(key, cell)`` items matching every (dimension == value)
+        filter, in insertion order; a packed cell is its store row."""
+        dimensions = self.schema.dimensions
+        return matching_items(self._rows if self._packed else self.cells,
+                              filter_positions(dimensions, filters),
+                              len(dimensions))
 
     def rollup(self, filters: Mapping[str, object] | None = None) -> QuantileSummary:
         """Merge every matching cell into a fresh aggregate (Figure 1).
@@ -274,8 +237,10 @@ class DataCube:
         (cell matching), ``merge_seconds``, and ``route``.
         """
         start = time.perf_counter()
+        matching = self._matching(filters)
         if self._packed:
-            rows = self._matching_rows(filters)
+            rows = np.fromiter((row for _, row in matching), dtype=np.intp,
+                               count=len(matching))
             planner = time.perf_counter() - start
             if rows.size == 0:
                 raise QueryError(f"no cells match filter {dict(filters or {})}")
@@ -286,13 +251,12 @@ class DataCube:
                 "cells_scanned": int(rows.size), "merge_calls": 1,
                 "planner_seconds": planner, "merge_seconds": merge_seconds,
                 "route": "packed"}
-        matching = [summary for _, summary in self.matching_cells(filters)]
         planner = time.perf_counter() - start
         if not matching:
             raise QueryError(f"no cells match filter {dict(filters or {})}")
         start = time.perf_counter()
-        aggregate = matching[0].copy()
-        for summary in matching[1:]:
+        aggregate = matching[0][1].copy()
+        for _, summary in matching[1:]:
             aggregate.merge(summary)
         merge_seconds = time.perf_counter() - start
         return aggregate, {
@@ -316,16 +280,14 @@ class DataCube:
         position = self.schema.index_of(dimension)
         if self._packed:
             start = time.perf_counter()
-            rows: list[int] = []
-            group_keys: list[object] = []
-            for key, row in self._iter_matching_items(filters):
-                rows.append(row)
-                group_keys.append(key[position])
+            matching = self._matching(filters)
+            rows = [row for _, row in matching]
+            group_values = [key[position] for key, _ in matching]
             locate_seconds = time.perf_counter() - start
             if not rows:
                 raise QueryError(f"no cells match filter {dict(filters or {})}")
             start = time.perf_counter()
-            merged = self._store.batch_merge_by(rows, group_keys)
+            merged = self._store.batch_merge_by(rows, group_values)
             out = {value: self._wrap(sketch)
                    for value, sketch in merged.items()}
             if profile is not None:
@@ -334,7 +296,7 @@ class DataCube:
             return out
         start = time.perf_counter()
         groups: dict[object, QuantileSummary] = {}
-        for key, summary in self.matching_cells(filters):
+        for key, summary in self._matching(filters):
             value = key[position]
             existing = groups.get(value)
             if existing is None:
@@ -353,17 +315,6 @@ class DataCube:
     # ------------------------------------------------------------------
     # Packed-backend internals
     # ------------------------------------------------------------------
-
-    def _iter_matching_items(self, filters: Mapping[str, object] | None
-                             ) -> Iterable[tuple[CellKey, int]]:
-        if not filters:
-            yield from self._rows.items()
-            return
-        positions = {self.schema.index_of(dim): value
-                     for dim, value in filters.items()}
-        for key, row in self._rows.items():
-            if all(key[pos] == value for pos, value in positions.items()):
-                yield key, row
 
     def _wrap(self, sketch: MomentsSketch) -> MomentsSummary:
         out = MomentsSummary(k=sketch.k, track_log=sketch.track_log,

@@ -8,9 +8,8 @@ benchmark exercises:
   same dimension tuple collapse into one pre-aggregated cube cell holding
   an aggregator state per configured aggregator (Druid "roll-up").
 * **Segments** partition cells by time chunk and are scanned independently.
-* The **broker** primitives scan matching cells and merge their states
-  (optionally across a small processing-thread pool — the paper's
-  quickstart config uses 2).  Queries reach them through
+* The **broker** primitives locate the matching cells and fold their
+  states left to right.  Queries reach them through
   :class:`~repro.api.QueryService` (``QueryService(druid=engine)``),
   whose :class:`~repro.api.DruidBackend` adapter finalizes once.
 
@@ -23,28 +22,31 @@ Moments-sketch aggregators are *packed* by default
 rows of one :class:`~repro.store.PackedSketchStore` instead of individual
 state objects.  This is the columnar layout a real Druid historical
 keeps per segment, and it removes the per-merge interpreter overhead
-from the Eq. 2 merge term.  A time-range roll-up
+from the Eq. 2 merge term.  A write lands each chunk's groups in that
+chunk's store with one keyed accumulate
+(:func:`~repro.core.grouping.accumulate_groups`).  A time-range roll-up
 (:meth:`DruidEngine.packed_rollup`) locates each scanned segment's
 matching rows, one key lookup when the filter names every dimension,
 and folds all segments' partials in one stacked reduction, bit for bit
 the left fold of one ``batch_merge`` sketch per segment.  That fold
-associates the adds per segment, unlike one flat loop over all cells
-(just like the thread-pool shard fold does), so cross-segment
-aggregates can differ from the object layout at the last-ulp level.
+associates the adds per segment, unlike one flat loop over all cells,
+so cross-segment aggregates can differ from the object layout at the
+last-ulp level.
 Pass ``packed_moments=False`` to benchmark the object-per-cell layout.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..core.errors import QueryError
-from ..core.grouping import lexsort_groups
+from ..core.grouping import (accumulate_groups, filter_positions,
+                              first_seen_rows, group_keys, label_runs,
+                              lexsort_groups, matching_items)
 from ..core.sketch import MomentsSketch
 from ..store import PackedSketchStore
 from .aggregators import (AggregatorFactory, AggregatorState,
@@ -86,19 +88,17 @@ class PackedRollup:
 
 
 class DruidEngine:
-    """Minimal Druid: ingestion, segments, and a broker with a thread pool."""
+    """Minimal Druid: ingestion, segments, and a broker."""
 
     def __init__(self, dimensions: Sequence[str],
                  aggregators: Mapping[str, AggregatorFactory],
                  granularity: float = 3600.0,
-                 processing_threads: int = 2,
                  packed_moments: bool = True):
         if not dimensions:
             raise QueryError("need at least one dimension")
         self.dimensions = tuple(dimensions)
         self.aggregators = dict(aggregators)
         self.granularity = float(granularity)
-        self.processing_threads = max(int(processing_threads), 1)
         self.packed_moments = bool(packed_moments)
         self._packed_names = frozenset(
             name for name, factory in self.aggregators.items()
@@ -129,40 +129,45 @@ class DruidEngine:
     def _rollup_rows(self, timestamps: np.ndarray,
                      dimension_columns: Sequence[np.ndarray],
                      values: np.ndarray) -> int:
-        """One-batch roll-up kernel; returns the (chunk, key) groups hit."""
+        """One-batch roll-up kernel; returns the (chunk, key) groups hit.
+
+        Groups sort by chunk first, so each chunk's groups are one run:
+        object states aggregate per cell, and each packed store takes
+        the run in one keyed accumulate.
+        """
         timestamps = np.asarray(timestamps, dtype=float)
         values = np.asarray(values, dtype=float)
         chunks = np.floor(timestamps / self.granularity).astype(int)
         order, columns, chunks, starts, ends = \
             lexsort_groups(dimension_columns, primary=chunks)
+        if not starts.size:
+            return 0
         values = values[order]
-        for start, end in zip(starts, ends):
-            chunk = int(chunks[start])
-            key = tuple(col[start] for col in columns)
+        keys = group_keys(columns, starts)
+        group_chunks = chunks[starts]
+        for lo, hi in label_runs(group_chunks):
+            chunk = int(group_chunks[lo])
             segment = self.segments.setdefault(chunk, Segment(chunk=chunk))
-            cell = segment.cells.get(key)
-            if cell is None:
-                cell = {name: factory.create()
-                        for name, factory in self.aggregators.items()
-                        if name not in self._packed_names}
-                segment.cells[key] = cell
-            batch = values[start:end]
-            for state in cell.values():
-                state.aggregate(batch)
+            for key, start, end in zip(keys[lo:hi], starts[lo:hi],
+                                       ends[lo:hi]):
+                cell = segment.cells.get(key)
+                if cell is None:
+                    cell = {name: factory.create()
+                            for name, factory in self.aggregators.items()
+                            if name not in self._packed_names}
+                    segment.cells[key] = cell
+                for state in cell.values():
+                    state.aggregate(values[start:end])
             for name in self._packed_names:
                 store = segment.packed.get(name)
                 if store is None:
                     factory = self.aggregators[name]
                     assert isinstance(factory, MomentsSketchAggregator)
-                    store = PackedSketchStore(k=factory.k)
-                    segment.packed[name] = store
+                    store = segment.packed[name] = PackedSketchStore(k=factory.k)
                     segment.packed_rows[name] = {}
-                rows = segment.packed_rows[name]
-                row = rows.get(key)
-                if row is None:
-                    row = store.new_row()
-                    rows[key] = row
-                store.accumulate_row(row, batch)
+                accumulate_groups(
+                    store, first_seen_rows(store, segment.packed_rows[name]),
+                    keys[lo:hi], values, starts[lo:hi], ends[lo:hi])
         return int(starts.size)
 
     @property
@@ -172,16 +177,6 @@ class DruidEngine:
     # ------------------------------------------------------------------
     # Broker
     # ------------------------------------------------------------------
-
-    def _filter_positions(self, filters: Mapping[str, object] | None
-                          ) -> dict[int, object]:
-        positions: dict[int, object] = {}
-        if filters:
-            for dim, value in filters.items():
-                if dim not in self.dimensions:
-                    raise QueryError(f"unknown dimension {dim!r}")
-                positions[self.dimensions.index(dim)] = value
-        return positions
 
     def _scanned_segments(self, interval: tuple[float, float] | None
                           ) -> list[Segment]:
@@ -197,36 +192,17 @@ class DruidEngine:
             raise QueryError(f"unknown aggregator {aggregator!r}; "
                              f"registered: {sorted(self.aggregators)}")
 
-    def _full_key(self, positions: Mapping[int, object]) -> tuple | None:
-        """The one cell key ``positions`` names, if it fixes every dimension."""
-        if len(positions) < len(self.dimensions):
-            return None
-        return tuple(positions[pos] for pos in range(len(self.dimensions)))
-
-    @staticmethod
-    def _matching(table: Mapping[tuple, object], key: tuple | None,
-                  positions: Mapping[int, object]) -> list:
-        """Values of a cell-keyed ``table`` whose key passes the filter, in
-        table order: one lookup for a full ``key``, every value without a
-        filter, else a key scan."""
-        if key is not None:
-            hit = table.get(key)
-            return [] if hit is None else [hit]
-        if not positions:
-            return list(table.values())
-        return [value for cell, value in table.items()
-                if all(cell[pos] == want for pos, want in positions.items())]
-
     def _matching_states(self, aggregator: str,
                          filters: Mapping[str, object] | None,
                          interval: tuple[float, float] | None
                          ) -> list[AggregatorState]:
         self._check_aggregator(aggregator)
-        positions = self._filter_positions(filters)
-        key = self._full_key(positions)
+        positions = filter_positions(self.dimensions, filters)
+        ndims = len(self.dimensions)
         return [cell[aggregator]
                 for segment in self._scanned_segments(interval)
-                for cell in self._matching(segment.cells, key, positions)]
+                for _, cell in matching_items(segment.cells, positions,
+                                              ndims)]
 
     def packed_rollup(self, aggregator: str,
                       filters: Mapping[str, object] | None,
@@ -253,8 +229,8 @@ class DruidEngine:
         """
         start = time.perf_counter()
         self._check_aggregator(aggregator)
-        positions = self._filter_positions(filters)
-        key = self._full_key(positions)
+        positions = filter_positions(self.dimensions, filters)
+        ndims = len(self.dimensions)
         picks: list[tuple[PackedSketchStore, object]] = []
         scanned = 0
         for segment in self._scanned_segments(interval):
@@ -262,13 +238,14 @@ class DruidEngine:
             if store is None:
                 continue
             if positions:
-                matching = self._matching(segment.packed_rows[aggregator],
-                                          key, positions)
+                matching = matching_items(segment.packed_rows[aggregator],
+                                          positions, ndims)
                 n = len(matching)
                 if n == 0:
                     continue
-                sel = (matching[0] if n == 1
-                       else np.array(matching, dtype=np.intp))
+                sel = (matching[0][1] if n == 1
+                       else np.array([row for _, row in matching],
+                                     dtype=np.intp))
             else:
                 n = store.size
                 if n == 0:
@@ -305,20 +282,11 @@ class DruidEngine:
         return state
 
     def _merge_states(self, states: list[AggregatorState]) -> AggregatorState:
-        def fold(shard: list[AggregatorState]) -> AggregatorState:
-            aggregate = shard[0].copy()
-            for state in shard[1:]:
-                aggregate.merge(state)
-            return aggregate
-
-        if self.processing_threads == 1 or len(states) < 2 * self.processing_threads:
-            return fold(states)
-        shard_size = (len(states) + self.processing_threads - 1) // self.processing_threads
-        shards = [states[i:i + shard_size]
-                  for i in range(0, len(states), shard_size)]
-        with ThreadPoolExecutor(max_workers=self.processing_threads) as pool:
-            partials = list(pool.map(fold, shards))
-        return fold(partials)
+        """Fold object states left to right into a copy of the first."""
+        aggregate = states[0].copy()
+        for state in states[1:]:
+            aggregate.merge(state)
+        return aggregate
 
     def group_states(self, aggregator: str, dimension: str,
                      filters: Mapping[str, object] | None = None,
@@ -338,7 +306,8 @@ class DruidEngine:
         if dimension not in self.dimensions:
             raise QueryError(f"unknown dimension {dimension!r}")
         position = self.dimensions.index(dimension)
-        positions = self._filter_positions(filters)
+        positions = filter_positions(self.dimensions, filters)
+        ndims = len(self.dimensions)
         if aggregator in self._packed_names:
             locate_seconds = merge_seconds = 0.0
             sketches: dict[object, MomentsSketch] = {}
@@ -347,20 +316,16 @@ class DruidEngine:
                 if store is None:
                     continue
                 start = time.perf_counter()
-                rows: list[int] = []
-                group_keys: list[object] = []
-                for key, row in segment.packed_rows[aggregator].items():
-                    if not all(key[pos] == value
-                               for pos, value in positions.items()):
-                        continue
-                    rows.append(row)
-                    group_keys.append(key[position])
+                matching = matching_items(segment.packed_rows[aggregator],
+                                          positions, ndims)
+                rows = [row for _, row in matching]
+                group_values = [key[position] for key, _ in matching]
                 locate_seconds += time.perf_counter() - start
                 if not rows:
                     continue
                 start = time.perf_counter()
                 for value, sketch in store.batch_merge_by(
-                        rows, group_keys).items():
+                        rows, group_values).items():
                     existing = sketches.get(value)
                     if existing is None:
                         sketches[value] = sketch
@@ -375,10 +340,7 @@ class DruidEngine:
         start = time.perf_counter()
         groups: dict[object, AggregatorState] = {}
         for segment in self.segments.values():
-            for key, cell in segment.cells.items():
-                if not all(key[pos] == value
-                           for pos, value in positions.items()):
-                    continue
+            for key, cell in matching_items(segment.cells, positions, ndims):
                 value = key[position]
                 if value in groups:
                     groups[value].merge(cell[aggregator])

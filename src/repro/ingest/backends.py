@@ -45,7 +45,7 @@ import numpy as np
 
 from ..cluster.coordinator import ClusterCoordinator
 from ..core.errors import ClusterError, IngestError
-from ..core.grouping import lexsort_groups
+from ..core.grouping import accumulate_columns, first_seen_rows
 from ..datacube.cube import CubeSchema, DataCube
 from ..druid.aggregators import MomentsSketchAggregator
 from ..druid.engine import DruidEngine
@@ -203,31 +203,17 @@ class PackedStoreWriteBackend(WriteBackend):
         if batch.rows == 0:
             return WriteOutcome(cells=0)
         start = time.perf_counter()
-        values = batch.values
+        row_of = first_seen_rows(self.store, self._rows)
         if not self.dimensions:
-            row = self._rows.get(())
-            if row is None:
-                row = self.store.new_row()
-                self._rows[()] = row
-            self.store.accumulate_row(row, values)
+            self.store.accumulate_row(row_of(()), batch.values)
             return WriteOutcome(cells=1,
                                 pack_seconds=time.perf_counter() - start)
-        # The shared grouping kernel (also behind the cube's and Druid's
-        # ingest), so identical rows land identical bits in any system.
-        order, sorted_cols, _, starts, ends = lexsort_groups(batch.dims)
-        sorted_values = values[order]
-        sizes = ends - starts
-        group_rows = np.empty(starts.size, dtype=np.intp)
-        for i, group_start in enumerate(starts):
-            key = tuple(col[group_start] for col in sorted_cols)
-            row = self._rows.get(key)
-            if row is None:
-                row = self.store.new_row()
-                self._rows[key] = row
-            group_rows[i] = row
-        self.store.batch_accumulate(np.repeat(group_rows, sizes),
-                                    sorted_values)
-        return WriteOutcome(cells=int(starts.size),
+        # The shared keyed kernel (also behind the cube's, Druid's and
+        # the tiered store's ingest), so identical rows land identical
+        # bits in any system.
+        cells = accumulate_columns(self.store, row_of, batch.dims,
+                                   batch.values)
+        return WriteOutcome(cells=cells,
                             pack_seconds=time.perf_counter() - start)
 
     def read_target(self) -> object:

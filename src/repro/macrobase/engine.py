@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.cascade import CascadeStats, ThresholdCascade
 from ..core.errors import QueryError
+from ..core.grouping import group_keys, lexsort_groups
 from ..core.sketch import MomentsSketch, merge_all
 from ..core.quantile import safe_estimate_quantiles
 from ..core.solver import SolverConfig
@@ -72,18 +73,12 @@ class MomentsCube:
     def build(cls, dimension_columns: Sequence[np.ndarray], values: np.ndarray,
               k: int = 10) -> "MomentsCube":
         cube = cls()
-        keys = list(zip(*[np.asarray(c) for c in dimension_columns]))
-        values = np.asarray(values, dtype=float)
-        order = sorted(range(len(keys)), key=lambda i: keys[i])
-        sorted_keys = [keys[i] for i in order]
-        sorted_values = values[order]
-        start = 0
-        for i in range(1, len(sorted_keys) + 1):
-            if i == len(sorted_keys) or sorted_keys[i] != sorted_keys[start]:
-                sketch = MomentsSketch(k=k)
-                sketch.accumulate(sorted_values[start:i])
-                cube.cells[tuple(sorted_keys[start])] = sketch
-                start = i
+        order, columns, _, starts, ends = lexsort_groups(dimension_columns)
+        values = np.asarray(values, dtype=float)[order]
+        for key, start, end in zip(group_keys(columns, starts), starts, ends):
+            sketch = MomentsSketch(k=k)
+            sketch.accumulate(values[start:end])
+            cube.cells[key] = sketch
         return cube
 
     @property

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.errors import StorageError
-from ..core.grouping import lexsort_groups
+from ..core.grouping import accumulate_columns
 from ..telemetry import TELEMETRY
 from ..core.sketch import DEFAULT_ORDER, MomentsSketch
 from ..store import PackedSketchStore
@@ -180,12 +180,14 @@ class TieredStore:
     # ------------------------------------------------------------------
 
     def _ensure_hot_row_locked(self, key: tuple) -> int:
-        """The key's live accumulator row, fetching sealed state if any.
+        """The (canonicalized) key's live accumulator row, fetching
+        sealed state if any.
 
         The fetch is an exact float64 copy of the newest sealed version,
         so subsequent accumulates continue the identical single left
         fold a RAM-resident store would have run.
         """
+        key = canonical_key(key)
         row = self._hot_rows.get(key)
         if row is not None:
             return row
@@ -211,10 +213,9 @@ class TieredStore:
         """Accumulate one columnar batch; returns cells touched.
 
         Bit-for-bit the
-        :class:`~repro.ingest.backends.PackedStoreWriteBackend` kernel:
-        the same :func:`~repro.core.grouping.lexsort_groups` grouping,
-        the same ``batch_accumulate`` call shape, and first-seen row
-        numbering in the same group order.
+        :class:`~repro.ingest.backends.PackedStoreWriteBackend` write:
+        the same :func:`~repro.core.grouping.accumulate_columns` kernel
+        and first-seen row numbering in the same group order.
         """
         with self._lock:
             values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -232,18 +233,9 @@ class TieredStore:
                     raise StorageError(
                         f"expected {len(self.dimensions)} dimension "
                         f"columns, got {len(dim_columns)}")
-                order, sorted_cols, _, starts, ends = \
-                    lexsort_groups(list(dim_columns))
-                sorted_values = values[order]
-                sizes = ends - starts
-                group_rows = np.empty(starts.size, dtype=np.intp)
-                for i, group_start in enumerate(starts):
-                    key = canonical_key(
-                        tuple(col[group_start] for col in sorted_cols))
-                    group_rows[i] = self._ensure_hot_row_locked(key)
-                self.hot.batch_accumulate(np.repeat(group_rows, sizes),
-                                          sorted_values)
-                cells = int(starts.size)
+                cells = accumulate_columns(self.hot,
+                                           self._ensure_hot_row_locked,
+                                           list(dim_columns), values)
             self.epoch += 1
             self._maybe_seal_locked()
             if TELEMETRY.enabled:

@@ -314,10 +314,10 @@ class PackedSketchStore:
         order = np.argsort(rows, kind="stable")
         r = rows[order]
         xs = x[order]
-        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        bounds = np.append(starts, r.size)
+        starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
+        bounds = np.concatenate((starts, [r.size]))
         target = r[starts]
-        sizes = np.diff(bounds)
+        sizes = bounds[1:] - starts
         # One shared Vandermonde matrix for the whole batch; the per-group
         # fold below uses np.add.reduce on contiguous slices, which is a
         # strict left fold and therefore bit-for-bit identical to feeding

@@ -332,7 +332,7 @@ class TestClusterServing:
             dimensions=("cell",),
             aggregators={"m": MomentsSketchAggregator(k=K),
                          "total": DoubleSumAggregator()},
-            granularity=1.0, processing_threads=1)
+            granularity=1.0)
         reference.ingest(timestamps, [cells], values)
         backend = as_backend(cluster)
         service = QueryService(cluster=backend, druid=reference)

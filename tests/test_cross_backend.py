@@ -47,7 +47,7 @@ def service(data):
     # other backends.
     engine = DruidEngine(dimensions=("cell",),
                          aggregators={"m": MomentsSketchAggregator(k=K)},
-                         granularity=1e12, processing_threads=1)
+                         granularity=1e12)
     engine.ingest(np.zeros(data.size), [cell_ids], data)
 
     packed = build_packed_cells(data, cell_size=CELL, k=K)
@@ -159,7 +159,7 @@ class TestClusterBitExactness:
         cluster.ingest(timestamps, [cell_ids], data)
         engine = DruidEngine(dimensions=("cell",),
                              aggregators={"m": MomentsSketchAggregator(k=K)},
-                             granularity=1.0, processing_threads=1)
+                             granularity=1.0)
         engine.ingest(timestamps, [cell_ids], data)
         return cluster, QueryService(cluster=cluster, druid=engine)
 
@@ -229,7 +229,7 @@ class TestIngestEquivalence:
             return DruidEngine(
                 dimensions=("cell",),
                 aggregators={"m": MomentsSketchAggregator(k=K)},
-                granularity=1.0, processing_threads=1)
+                granularity=1.0)
 
         legacy = engine()
         legacy.ingest(timestamps, [cell_ids], data)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import QueryService, QuerySpec, qkey
 from repro.core.errors import QueryError
+from repro.core.grouping import filter_positions, lexsort_groups
 from repro.druid import (
     DoubleSumAggregator,
     DruidEngine,
@@ -12,6 +13,8 @@ from repro.druid import (
     StreamingHistogramAggregator,
     registry,
 )
+from repro.druid.engine import Segment
+from repro.store import PackedSketchStore
 
 
 def query(engine, measure, q=0.5, filters=None, interval=None):
@@ -38,7 +41,6 @@ def engine():
         dimensions=("grid", "country"),
         aggregators=registry(moment_orders=(10,), histogram_bins=(100,)),
         granularity=3600.0,
-        processing_threads=2,
     )
     timestamps = rng.uniform(0, 48 * 3600, n)
     grid = rng.integers(0, 25, n)
@@ -110,15 +112,6 @@ class TestQueries:
             assert groups[name] == pytest.approx(values[country == name].sum(),
                                                  rel=1e-9)
 
-    def test_single_thread_matches_threaded(self, engine):
-        threaded = query(engine, "momentsSketch@10", q=0.9)
-        engine.processing_threads = 1
-        try:
-            single = query(engine, "momentsSketch@10", q=0.9)
-        finally:
-            engine.processing_threads = 2
-        assert single.value == pytest.approx(threaded.value, rel=1e-6)
-
 
 class TestAggregatorPlugins:
     def test_registry_names(self):
@@ -155,7 +148,6 @@ class TestPackedMoments:
                 dimensions=("grid", "country"),
                 aggregators=registry(moment_orders=(8,), histogram_bins=()),
                 granularity=3600.0,
-                processing_threads=1,
                 packed_moments=packed,
             )
             engine.ingest(timestamps, [grid, country], values)
@@ -217,7 +209,7 @@ def reference_rollup(engine, aggregator, filters=None, interval=None):
     scan for the matching rows and one ``batch_merge`` over them, then
     the per-segment sketches merged left to right.  Returns ``(sketch,
     cells_scanned, segments)``, or ``None`` when no cell matches."""
-    positions = engine._filter_positions(filters)
+    positions = filter_positions(engine.dimensions, filters)
     refs = []
     for segment in engine._scanned_segments(interval):
         store = segment.packed.get(aggregator)
@@ -239,11 +231,49 @@ def reference_rollup(engine, aggregator, filters=None, interval=None):
 
 def reference_states(engine, aggregator, filters=None, interval=None):
     """The object route's key scan: matching states in scan order."""
-    positions = engine._filter_positions(filters)
+    positions = filter_positions(engine.dimensions, filters)
     return [cell[aggregator]
             for segment in engine._scanned_segments(interval)
             for key, cell in segment.cells.items()
             if all(key[pos] == value for pos, value in positions.items())]
+
+
+def reference_write(engine, timestamps, dims, values):
+    """The per-cell write loop the keyed accumulate replaced, kept as its
+    reference: per ``(chunk, key)`` group, the object states aggregate
+    and each packed store gets one ``accumulate_row`` on the cell's
+    row."""
+    values = np.asarray(values, dtype=float)
+    chunks = np.floor(np.asarray(timestamps, dtype=float)
+                      / engine.granularity).astype(int)
+    order, columns, chunks, starts, ends = lexsort_groups(dims,
+                                                          primary=chunks)
+    values = values[order]
+    for start, end in zip(starts, ends):
+        chunk = int(chunks[start])
+        key = tuple(col[start] for col in columns)
+        segment = engine.segments.setdefault(chunk, Segment(chunk=chunk))
+        cell = segment.cells.get(key)
+        if cell is None:
+            cell = {name: factory.create()
+                    for name, factory in engine.aggregators.items()
+                    if name not in engine._packed_names}
+            segment.cells[key] = cell
+        batch = values[start:end]
+        for state in cell.values():
+            state.aggregate(batch)
+        for name in engine._packed_names:
+            store = segment.packed.get(name)
+            if store is None:
+                store = PackedSketchStore(k=engine.aggregators[name].k)
+                segment.packed[name] = store
+                segment.packed_rows[name] = {}
+            rows = segment.packed_rows[name]
+            row = rows.get(key)
+            if row is None:
+                row = store.new_row()
+                rows[key] = row
+            store.accumulate_row(row, batch)
 
 
 def moments_payload(sketch):
@@ -300,7 +330,7 @@ class TestPackedRollupReference:
             dimensions=("grid", "country"),
             aggregators={"m": MomentsSketchAggregator(k=k),
                          "sum": DoubleSumAggregator()},
-            granularity=10.0, processing_threads=1)
+            granularity=10.0)
         write_rollup_rows(engine.ingest, np.random.default_rng(k), bad)
         assert list(engine.segments) == [4, 5, 6, 7, 8, 9, 10, 11,
                                          0, 1, 2, 3]
@@ -411,3 +441,33 @@ def test_shard_partials_match_reference(bad):
                 assert partial.state.summary.sketch.to_bytes() == \
                     expected[0].to_bytes()
                 assert partial.cells_scanned == expected[1]
+
+
+@pytest.mark.parametrize("bad", NON_POSITIVE)
+def test_keyed_write_matches_reference(bad):
+    """Each chunk store's keyed accumulate lands the per-cell loop's
+    bytes and row maps, over out-of-order chunks and several flushes."""
+    engines = [DruidEngine(dimensions=("grid", "country"),
+                           aggregators={"m": MomentsSketchAggregator(k=8),
+                                        "n": MomentsSketchAggregator(k=4),
+                                        "sum": DoubleSumAggregator()},
+                           granularity=10.0)
+               for _ in range(2)]
+    for engine, write in ((engines[0], engines[0].ingest),
+                          (engines[1], lambda ts, dims, values:
+                           reference_write(engines[1], ts, dims, values))):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            write_rollup_rows(write, rng, bad)
+    got, expected = engines
+    assert list(got.segments) == list(expected.segments)
+    for chunk, segment in got.segments.items():
+        reference = expected.segments[chunk]
+        assert list(segment.cells) == list(reference.cells)
+        for key, cell in segment.cells.items():
+            assert cell["sum"].total == reference.cells[key]["sum"].total
+        for name in ("m", "n"):
+            assert list(segment.packed_rows[name].items()) == \
+                list(reference.packed_rows[name].items())
+            assert segment.packed[name].to_bytes() == \
+                reference.packed[name].to_bytes()

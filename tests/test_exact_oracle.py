@@ -40,7 +40,7 @@ def _ingest_all(cell_ids: np.ndarray, values: np.ndarray
 
     druid = DruidEngine(dimensions=("cell",),
                         aggregators={"m": MomentsSketchAggregator(k=K)},
-                        granularity=1.0, processing_threads=1)
+                        granularity=1.0)
     druid.ingest(timestamps, [cell_ids], values)
 
     packed_store = PackedSketchStore(k=K)

@@ -114,11 +114,9 @@ class TestSolve:
         with pytest.raises(ConvergenceError):
             solve(basis, SolverConfig(max_iterations=60))
 
-    def test_custom_start_point(self, gaussian_sketch):
+    def test_default_start_point(self, gaussian_sketch):
         basis = build_basis(gaussian_sketch, 4, 0)
-        theta0 = np.zeros(5)
-        theta0[0] = np.log(0.5)
-        result = solve(basis, theta0=theta0)
+        result = solve(basis)
         assert result.converged
 
 
