@@ -18,7 +18,10 @@ correctness contract against the per-sketch references:
 
 Each row prints both arms' seconds and milliseconds per sketch, the
 speedup, and the most Newton iterations any group needed in each arm
-(batched/scalar).
+(batched/scalar).  Beside the table it prints what one Newton problem
+costs alone: microseconds per sketch of one-row ``solve`` and of
+``solve_batch([basis])``, both the n = 1 case of the stacked kernel
+(informational; no gate).
 
 Usage::
 
@@ -45,7 +48,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import PackedStoreBackend, QueryService, QuerySpec, qkey  # noqa: E402
 from repro.core.cascade import ThresholdCascade  # noqa: E402
-from repro.core.batch_solver import fit_estimators  # noqa: E402
+from repro.core.batch_solver import fit_estimators, solve_batch  # noqa: E402
 from repro.core.quantile import QuantileEstimator  # noqa: E402
 from repro.core.solver import solve  # noqa: E402
 from repro.workload import build_packed_cells  # noqa: E402
@@ -143,19 +146,42 @@ def time_reference(cells, n: int) -> float:
     return time.perf_counter() - start
 
 
+def _fitted_bases(cells, n: int) -> list:
+    """The solved bases of one stacked fit of ``n`` groups."""
+    groups = _groups(_service(cells, n))
+    fitted, _, _ = fit_estimators([s.sketch for s in groups.values()],
+                                  cells.config, allow_backoff=True)
+    return [e for e in fitted if e is not None and e.result is not None]
+
+
 def newton_iterations(cells, n: int) -> tuple[int, int]:
     """Most Newton iterations any of ``n`` groups needs: (batched, scalar).
 
     Untimed.  The batched count comes from one stacked fit of the
-    groups; the scalar count re-solves each fitted basis with the scalar
-    Newton loop the reference arm runs.
+    groups; the scalar count re-solves each fitted basis with the
+    one-row ``solve`` the reference arm runs.
     """
-    groups = _groups(_service(cells, n))
-    fitted, _, _ = fit_estimators([s.sketch for s in groups.values()],
-                                  cells.config, allow_backoff=True)
-    solved = [e for e in fitted if e is not None and e.result is not None]
+    solved = _fitted_bases(cells, n)
     return (max(e.result.iterations for e in solved),
             max(solve(e.basis, cells.config).iterations for e in solved))
+
+
+def one_row_costs(cells, n: int, repeats: int) -> tuple[float, float]:
+    """Microseconds per sketch of one-row ``solve`` and of
+    ``solve_batch([basis])`` over the fitted bases of ``n`` groups, best
+    of ``repeats`` passes."""
+    bases = [e.basis for e in _fitted_bases(cells, n)]
+    costs = []
+    for run in (lambda b: solve(b, cells.config),
+                lambda b: solve_batch([b], cells.config)):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for basis in bases:
+                run(basis)
+            best = min(best, time.perf_counter() - start)
+        costs.append(1e6 * best / len(bases))
+    return costs[0], costs[1]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -208,6 +234,11 @@ def main(argv: list[str] | None = None) -> int:
               f"{1e3 * batched.solve_seconds / n:>14.3f} "
               f"{1e3 * scalar_seconds / n:>13.3f} {speedup:>7.2f}x "
               f"{iterations:>15} {batched.solve_calls:>12}")
+
+    one_row = min(256, max(sizes))
+    solve_us, batch_us = one_row_costs(cells, one_row, max(repeats, 5))
+    print(f"one-row Newton over {one_row} cells: solve {solve_us:.0f} us/sketch, "
+          f"solve_batch([basis]) {batch_us:.0f} us/sketch")
 
     failures = check_decisions(cells, min(256, max(sizes)))
     if gate_speedup is not None and gate_speedup < args.require_speedup:

@@ -114,10 +114,11 @@ def shifted_moments(mu: np.ndarray, shift) -> np.ndarray:
 
     Stacked form: ``mu`` may be ``(rows, size)`` with a matching
     ``(rows,)`` array of shifts, evaluating every row in one pass.  The
-    stacked contraction is an explicit left fold over the moment index
-    (elementwise operations only), so every row of a stacked call is
-    bit-for-bit identical regardless of which other rows share the batch
-    — the property the vectorized cascade bounds are gated on.  (The
+    stacked contraction is a cumulative sum over the moment index
+    (``add.accumulate``, a sequential left fold, never pairwise), so every
+    row of a stacked call is bit-for-bit identical regardless of which
+    other rows share the batch — the property the vectorized cascade
+    bounds are gated on.  (The
     scalar bound entry points delegate to the batched kernels, so the
     1-D fast path below serves the one-row conversions such as
     :func:`power_sums_to_chebyshev_moments`;
@@ -135,9 +136,8 @@ def shifted_moments(mu: np.ndarray, shift) -> np.ndarray:
     with np.errstate(all="ignore"):
         powers = (-np.asarray(shift, dtype=float))[..., None] ** np.arange(size)
         matrix = pascal * powers[..., exponent_index]
-        out = matrix[..., :, 0] * mu[..., 0, None]
-        for j in range(1, size):
-            out += matrix[..., :, j] * mu[..., j, None]
+        matrix *= mu[..., None, :]
+        out = np.cumsum(matrix, axis=-1)[..., -1].copy()
     out[..., 0] = 1.0
     return out
 

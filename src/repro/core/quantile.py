@@ -10,11 +10,12 @@ This is the user-facing entry point tying the pieces together:
    keeps the paper's recipe ("numeric integration and the Brent's method
    for root finding") for verification.
 
-Steps 1 and 3 run on the same stacked kernels as the batched estimator
+All three steps run on the same stacked kernels as the batched estimator
 (:func:`repro.core.batch_solver.fit_estimators`): a single fit is their
-one-row case.  The result object keeps the solved density around so
-callers (the cascade, the bound evaluation, tests) can interrogate the CDF
-without re-solving.
+one-row case, and both take the same moment-backoff ladder
+(:func:`_back_off`) when a solve fails.  The result object keeps the
+solved density around so callers (the cascade, the bound evaluation,
+tests) can interrogate the CDF without re-solving.
 """
 
 from __future__ import annotations
@@ -97,21 +98,13 @@ class QuantileEstimator:
                 k1 = selection.k1
             if k2 is None:
                 k2 = selection.k2
-        while True:
-            try:
-                basis = build_basis(sketch, k1, k2, config, domain=domain)
-                result = solve(basis, config)
-                break
-            except ConvergenceError:
-                if not allow_backoff or k1 + k2 <= 2:
-                    raise
-                # Drop the highest moment of the larger family.
-                if k1 >= k2:
-                    k1 -= 1
-                else:
-                    k2 -= 1
-                if k1 + k2 == 0:
-                    raise
+        basis = build_basis(sketch, k1, k2, config, domain=domain)
+        try:
+            result = solve(basis, config)
+        except ConvergenceError as error:
+            if not allow_backoff:
+                raise
+            basis, result = _back_off(sketch, k1, k2, error, config, domain)
         (cdf,) = _cdf_tables([basis], [result.theta], config)
         if cdf is None:
             raise EstimationError("solved density integrates to zero")
@@ -221,6 +214,28 @@ class QuantileEstimator:
             assert self.basis.log_support is not None
             return np.exp(self.basis.log_support.unscale(u))
         return self.basis.support.unscale(u)
+
+
+def _back_off(sketch: MomentsSketch, k1: int, k2: int,
+              error: ConvergenceError, config: SolverConfig,
+              domain: str | None = None) -> tuple[MaxEntBasis, MaxEntResult]:
+    """The moment-backoff ladder below a ``(k1, k2)`` rung that failed.
+
+    Each rung drops the highest moment of the larger family and solves
+    again; the first rung that solves wins.  The ladder ends above
+    ``k1 + k2 = 2``, where the last rung's ``error`` is raised.
+    """
+    while k1 + k2 > 2:
+        if k1 >= k2:
+            k1 -= 1
+        else:
+            k2 -= 1
+        basis = build_basis(sketch, k1, k2, config, domain=domain)
+        try:
+            return basis, solve(basis, config)
+        except ConvergenceError as exc:
+            error = exc
+    raise error
 
 
 def _cdf_tables(bases: list, thetas: list, config: SolverConfig) -> list:

@@ -31,6 +31,12 @@ Implementation choices mirroring Section 4.3:
   quadratically convergent step the potential can no longer resolve.  A
   search that finds no acceptable step is a stall, settled by the relaxed
   tolerance or a :class:`ConvergenceError`.
+* **One stacked kernel**: the iteration and its fine-grid verification run
+  over a stack of same-shape problems (:func:`_newton`, built on numpy
+  2.2's ``vecmat``/``matvec``/``vecdot``, which compute each row with the
+  BLAS call a one-problem loop would).  :func:`solve` is its one-row case
+  and :func:`repro.core.batch_solver.solve_batch` runs it once per basis
+  shape.
 * **Integration domain selection**: for long-tailed positive data the solver
   integrates in the scaled-log domain (the ``h(x) = e^x`` variant of
   Appendix A) so every basis function stays smooth; otherwise in the scaled
@@ -51,6 +57,10 @@ from .sketch import MomentsSketch
 #: Ratio max/min beyond which positive data is considered long-tailed and
 #: the solver integrates in the log domain.
 LOG_DOMAIN_SPREAD = 100.0
+
+#: Shortened line-search steps evaluated per stacked pass; bounds the
+#: ``(rows, probes, grid)`` block a pass allocates.
+_PROBE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -303,134 +313,202 @@ def _basis_matrix_on(basis: MaxEntBasis, u: np.ndarray) -> np.ndarray:
     return _basis_matrices_stacked([basis], u)[0]
 
 
-def dual_potential(theta: np.ndarray, B: np.ndarray, w: np.ndarray,
-                   d: np.ndarray) -> float:
-    """The dual objective ``L(theta) = integral f - theta . d`` on the grid.
-
-    Part of the Newton kernel shared with :mod:`repro.core.batch_solver`
-    (whose stacked evaluation reproduces these operations row-wise).
-    Overflow is expected when a line search probes a too-long step; the
-    resulting ``inf`` is rejected by the Armijo test.
-    """
-    with np.errstate(over="ignore"):
-        f = np.exp(theta @ B)
-    return float(np.dot(w, f) - np.dot(theta, d))
-
-
-def newton_system(B: np.ndarray, wf: np.ndarray, d: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the dual at the density with ``w*f = wf``.
-
-    ``grad = B (w f) - d`` and ``H = B diag(w f) B^T`` — the two matmuls
-    that make up one Newton step (Section 4.3).  Shared kernel: the
-    batched solver evaluates the same contractions as stacked matmuls,
-    which numpy performs slice-by-slice with the identical BLAS kernels.
-    """
-    grad = B @ wf - d
-    hessian = (B * wf) @ B.T
-    return grad, hessian
-
-
 def solve(basis: MaxEntBasis, config: SolverConfig | None = None
           ) -> MaxEntResult:
     """Run damped Newton on the dual potential L(theta) (Appendix A.1).
 
+    The one-row case of the stacked kernel :func:`_newton`, which
+    :func:`repro.core.batch_solver.solve_batch` runs over many bases.
     Raises :class:`ConvergenceError` when the iteration fails — the paper
     observes this on near-discrete data (Figure 8); callers may fall back to
-    moment bounds.  :func:`repro.core.batch_solver.solve_batch` runs the
-    same iteration for many bases at once.
+    moment bounds.
     """
-    config = config or SolverConfig()
-    B = basis.matrix
-    w = basis.weights
-    d = basis.targets
-    m = basis.size
+    (result,), (error,) = _newton([basis], config or SolverConfig())
+    if error is not None:
+        raise error
+    return result
 
-    theta = np.zeros(m)
-    theta[0] = np.log(0.5)  # uniform density integrating to 1 on [-1, 1]
 
-    def potential(th: np.ndarray) -> float:
-        return dual_potential(th, B, w, d)
+def _newton(bases: list, config: SolverConfig) -> tuple[list, list]:
+    """Damped Newton for same-shape bases, stacked, then fine-grid verified.
 
-    lvalue = potential(theta)
-    grad_norm = np.inf
-    for iteration in range(1, config.max_iterations + 1):
-        with np.errstate(over="ignore"):
-            f = np.exp(theta @ B)
-        if not np.all(np.isfinite(f)):
-            raise ConvergenceError(
-                "density overflow during Newton iteration",
-                iterations=iteration, grad_norm=grad_norm)
-        wf = w * f
-        grad, hessian = newton_system(B, wf, d)
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < config.gradient_tol:
-            result = MaxEntResult(basis, theta, iteration - 1, grad_norm, True)
-            _verify_solution(basis, result, config)
-            return result
-        step = _solve_newton_step(hessian, grad, config.ridge)
-        # Backtracking line search (Armijo on the convex dual).
-        slope = float(np.dot(grad, step))
-        alpha = 1.0
-        for _ in range(config.max_line_search_steps):
-            candidate = theta - alpha * step
-            cvalue = potential(candidate)
-            lowers = cvalue < lvalue or (alpha == 1.0 and cvalue == lvalue)
-            if (np.isfinite(cvalue) and lowers
-                    and cvalue <= lvalue - 1e-4 * alpha * slope):
-                theta = candidate
-                lvalue = cvalue
-                break
-            alpha *= 0.5
+    Returns ``(results, errors)`` aligned with ``bases``: each row ends with
+    either a verified :class:`MaxEntResult` or the :class:`ConvergenceError`
+    that says why it failed — density overflow, a stalled line search or
+    the iteration cap above the relaxed tolerance, or fine-grid
+    verification.  Each iteration is one stacked matmul per contraction
+    (``grad = B (w f) - d``, ``H = B diag(w f) B^T``, the dual potential)
+    and one stacked LAPACK solve for the steps; the density ``f`` at the
+    accepted point is the one its line-search probe computed.  A row that
+    settles or fails is compacted out, only the rows whose full step fails
+    probe shorter ones, and each takes its first acceptable probe, so every
+    row moves exactly as it would alone: its trajectory does not depend on
+    its batch-mates, and one row costs what a scalar loop would.
+    """
+    count = len(bases)
+    w = bases[0].weights
+    B = np.array([basis.matrix for basis in bases])
+    d = np.array([basis.targets for basis in bases])
+    theta = np.zeros(d.shape)
+    theta[:, 0] = np.log(0.5)  # uniform density integrating to 1 on [-1, 1]
+    rows = np.arange(count)  # working row -> index into ``bases``
+    norm = np.full(count, np.inf)  # latest |grad| of each working row
+    errors: list = [None] * count
+    settled: dict[int, tuple[np.ndarray, int, float]] = {}
+    probes = config.max_line_search_steps
+    # Overflow is expected when a line search probes a too-long step; the
+    # resulting inf (or the nan of inf * 0) fails the Armijo test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, f = _potential(theta, B, w, d)
+        for iteration in range(1, config.max_iterations + 1):
+            wf = w * f
+            grad = np.matvec(B, wf) - d
+            previous, norm = norm, np.maximum.reduce(np.abs(grad), axis=1)
+            # A non-finite density makes |grad| non-finite, so only a stack
+            # with a small or non-finite |grad| needs the per-row checks.
+            if not (np.minimum.reduce(norm) >= config.gradient_tol
+                    and np.maximum.reduce(norm) < np.inf):
+                finite = np.logical_and.reduce(np.isfinite(f), axis=1)
+                done = ~finite | (norm < config.gradient_tol)
+                for i in np.flatnonzero(done):
+                    if finite[i]:
+                        settled[rows[i]] = (theta[i], iteration - 1,
+                                            float(norm[i]))
+                    else:
+                        errors[rows[i]] = ConvergenceError(
+                            "density overflow during Newton iteration",
+                            iterations=iteration,
+                            grad_norm=float(previous[i]))
+                keep = ~done
+                rows, theta, value, norm, B, d, grad, wf = (
+                    rows[keep], theta[keep], value[keep], norm[keep],
+                    B[keep], d[keep], grad[keep], wf[keep])
+                if not rows.size:
+                    break
+            hessian = np.matmul(B * wf[:, None, :], B.swapaxes(1, 2))
+            try:
+                step = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                # Some Hessian is singular: give each row the progressive
+                # ridge treatment individually.
+                step = np.array([_solve_newton_step(h, g, config.ridge)
+                                 for h, g in zip(hessian, grad)])
+            slope = np.vecdot(grad, step)
+            # Backtracking line search (Armijo on the convex dual).  The
+            # full step may tie the potential; a shortened one must lower it.
+            trial = theta - step
+            trial_value, f = _potential(trial, B, w, d)
+            taken = (np.isfinite(trial_value) & (trial_value <= value)
+                     & (trial_value <= value - 1e-4 * slope))
+            if not probes:  # no probe allowed: every row stalls
+                taken[:] = False
+            if np.count_nonzero(taken) < rows.size:
+                # Each row whose full step failed probes alpha = 2^-1,
+                # 2^-2, ... (_PROBE_BLOCK at a time) and takes its first
+                # acceptable point, as a one-probe-at-a-time search would.
+                pending = np.flatnonzero(~taken)
+                alphas = np.ldexp(1.0, -np.arange(1, probes))
+                slacks = 1e-4 * alphas
+                p_theta, p_step, p_B, p_d, p_value, p_slope = (
+                    theta[pending, None], step[pending, None],
+                    B[pending, None], d[pending, None],
+                    value[pending, None], slope[pending, None])
+                for first in range(0, probes - 1, _PROBE_BLOCK):
+                    block = slice(first, first + _PROBE_BLOCK)
+                    probe = p_theta - alphas[block, None] * p_step
+                    probe_value, probe_f = _potential(probe, p_B, w, p_d)
+                    ok = (np.isfinite(probe_value) & (probe_value < p_value)
+                          & (probe_value <= p_value - slacks[block] * p_slope))
+                    any_ok = ok.any(axis=1)
+                    found = np.flatnonzero(any_ok)
+                    if not found.size:
+                        continue
+                    best = ok[found].argmax(axis=1)
+                    hit = pending[found]
+                    trial[hit] = probe[found, best]
+                    trial_value[hit] = probe_value[found, best]
+                    f[hit] = probe_f[found, best]
+                    taken[hit] = True
+                    left = ~any_ok
+                    pending, p_theta, p_step, p_B, p_d, p_value, p_slope = (
+                        pending[left], p_theta[left], p_step[left],
+                        p_B[left], p_d[left], p_value[left], p_slope[left])
+                    if not pending.size:
+                        break
+                for i in np.flatnonzero(~taken):
+                    if norm[i] <= config.relaxed_gradient_tol:
+                        settled[rows[i]] = (theta[i], iteration,
+                                            float(norm[i]))
+                    else:
+                        errors[rows[i]] = ConvergenceError(
+                            "line search failed to make progress",
+                            iterations=iteration, grad_norm=float(norm[i]))
+                rows, trial, trial_value, f, norm, B, d = (
+                    rows[taken], trial[taken], trial_value[taken],
+                    f[taken], norm[taken], B[taken], d[taken])
+                if not rows.size:
+                    break
+            theta, value = trial, trial_value
+    for i, row in enumerate(rows):
+        if norm[i] <= config.relaxed_gradient_tol:
+            settled[row] = (theta[i], config.max_iterations, float(norm[i]))
         else:
-            if grad_norm <= config.relaxed_gradient_tol:
-                result = MaxEntResult(basis, theta, iteration, grad_norm, True)
-                _verify_solution(basis, result, config)
-                return result
-            raise ConvergenceError(
-                "line search failed to make progress",
-                iterations=iteration, grad_norm=grad_norm)
-    if grad_norm <= config.relaxed_gradient_tol:
-        result = MaxEntResult(basis, theta, config.max_iterations, grad_norm, True)
-        _verify_solution(basis, result, config)
-        return result
-    raise ConvergenceError(
-        f"Newton did not reach tolerance {config.gradient_tol:g} in "
-        f"{config.max_iterations} iterations (|grad| = {grad_norm:.3g})",
-        iterations=config.max_iterations, grad_norm=grad_norm)
+            errors[row] = ConvergenceError(
+                f"Newton did not reach tolerance {config.gradient_tol:g} in "
+                f"{config.max_iterations} iterations (|grad| = {norm[i]:.3g})",
+                iterations=config.max_iterations, grad_norm=float(norm[i]))
+    results: list = [None] * count
+    if settled:
+        _verify(bases, settled, config, results, errors)
+    return results, errors
 
 
-def _verify_solution(basis: MaxEntBasis, result: MaxEntResult,
-                     config: SolverConfig) -> None:
+def _verify(bases: list, settled: dict, config: SolverConfig,
+            results: list, errors: list) -> None:
     """Re-check the matched moments on a twice-finer quadrature grid.
 
     A density whose peaks are narrower than the solve grid can satisfy the
     grid-quadrature moment constraints while wildly violating the true
     integrals (grid aliasing).  This happens exactly on the near-discrete
-    datasets for which the paper reports non-convergence (Figure 8), so the
-    aliasing is surfaced as :class:`ConvergenceError` rather than as a
-    silently wrong estimate.
+    datasets for which the paper reports non-convergence (Figure 8), so
+    each settled row of :func:`_newton` becomes a result only if it passes,
+    and a :class:`ConvergenceError` otherwise.
     """
+    rows = list(settled)
     fine_nodes = chebyshev_nodes(2 * config.grid_size)
     fine_weights = clenshaw_curtis_weights(2 * config.grid_size)
-    fine_matrix = _basis_matrix_on(basis, fine_nodes)
+    matrices = _basis_matrices_stacked([bases[row] for row in rows],
+                                       fine_nodes)
+    theta = np.array([settled[row][0] for row in rows])
+    targets = np.array([bases[row].targets for row in rows])
     # Aliased solutions can overflow exp and propagate inf*0 -> nan through
-    # the matmul; the non-finite deviation is exactly what the check below
-    # rejects, so the intermediate warnings are expected.
-    with np.errstate(all="ignore"):
-        f = np.exp(result.theta @ fine_matrix)
-        achieved = fine_matrix @ (fine_weights * f)
-    deviation = float(np.max(np.abs(achieved - basis.targets)))
-    # A relaxed-convergence solution cannot verify below its own gradient
-    # floor; scale the budget accordingly while still catching aliasing
-    # (whose deviations are orders of magnitude above any noise floor).
-    tolerance = max(config.verification_tol, 100.0 * result.gradient_norm)
-    if not np.isfinite(deviation) or deviation > tolerance:
-        raise ConvergenceError(
-            f"solution fails fine-grid verification (moment deviation "
-            f"{deviation:.3g} > {tolerance:g}); the data is "
-            "likely too discrete for a max-entropy density",
-            iterations=result.iterations, grad_norm=deviation)
+    # the matmul; a non-finite deviation fails the test below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.exp(np.vecmat(theta, matrices))
+        achieved = np.matvec(matrices, fine_weights * f)
+    deviations = np.maximum.reduce(np.abs(achieved - targets), axis=1)
+    for row, deviation in zip(rows, deviations.tolist()):
+        row_theta, iterations, norm = settled[row]
+        # A relaxed-convergence solution cannot verify below its own
+        # gradient floor; scale the budget accordingly while still catching
+        # aliasing (orders of magnitude above any noise floor).
+        tolerance = max(config.verification_tol, 100.0 * norm)
+        if deviation <= tolerance:
+            results[row] = MaxEntResult(bases[row], row_theta.copy(),
+                                        iterations, norm, True)
+        else:
+            errors[row] = ConvergenceError(
+                f"solution fails fine-grid verification (moment deviation "
+                f"{deviation:.3g} > {tolerance:g}); the data is "
+                "likely too discrete for a max-entropy density",
+                iterations=iterations, grad_norm=deviation)
+
+
+def _potential(theta: np.ndarray, B: np.ndarray, w: np.ndarray,
+               d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the dual ``L(theta) = integral f - theta . d`` and ``f``."""
+    f = np.exp(np.vecmat(theta, B))
+    return np.vecdot(f, w) - np.vecdot(theta, d), f
 
 
 def _solve_newton_step(hessian: np.ndarray, grad: np.ndarray, ridge: float) -> np.ndarray:

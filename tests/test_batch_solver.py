@@ -9,8 +9,9 @@ The layer's contract, asserted here:
 * no Newton problem of the group-solve gate rides the iteration cap;
 * a problem's batched result is independent of its batch-mates (masks,
   compaction, and tabulation bucketing never couple problems);
-* stragglers (near-discrete cells) fall back to the scalar solver and
-  surface the canonical outcome without disturbing their batch-mates;
+* a row the stack cannot settle (a near-discrete cell) carries the same
+  ConvergenceError one-row ``solve`` raises, without disturbing its
+  batch-mates;
 * the vectorized markov/rtt bounds equal their scalar counterparts
   element-wise;
 * a cell's cascade decision and stage are bit-identical alone (one-row
@@ -88,6 +89,37 @@ class TestSolveBatch:
         outcome = solve_batch([], CONFIG)
         assert outcome.results == [] and outcome.batched == 0
 
+    def test_failed_row_error_matches_one_row_solve(self):
+        # Two-point data fails verification, all moments of a shifted
+        # normal stall; each row's error is the one ``solve`` raises, and
+        # it is the same alone and beside smooth rows of the same shape.
+        hard = [MomentsSketch.from_data([0.0] * 900 + [10.0] * 100, k=8),
+                MomentsSketch.from_data(
+                    np.random.default_rng(3).normal(1000.0, 5.0, 200), k=8)]
+        rng = np.random.default_rng(10)
+        smooth = [MomentsSketch.from_data(rng.normal(0.0, 1.0, 2000), k=8)
+                  for _ in range(4)]
+        failing = build_bases_batch(hard, [8, 8], [0, 0], CONFIG)
+        others = build_bases_batch(smooth, [8] * 4, [0] * 4, CONFIG)
+        expected = []
+        for basis in failing:
+            with pytest.raises(ConvergenceError) as raised:
+                solve(basis, CONFIG)
+            expected.append(raised.value)
+        assert len({str(error) for error in expected}) == 2
+        for bases, positions in ((failing, [0, 1]),
+                                 (others[:2] + failing[:1] + others[2:]
+                                  + failing[1:], [2, 5])):
+            outcome = solve_batch(bases, CONFIG)
+            assert outcome.stragglers == tuple(positions)
+            assert outcome.batched == len(bases) - 2
+            for position, error in zip(positions, expected):
+                assert outcome.results[position] is None
+                got = outcome.errors[position]
+                assert type(got) is type(error) and str(got) == str(error)
+                assert got.iterations == error.iterations
+                assert repr(got.grad_norm) == repr(error.grad_norm)
+
 
 class TestFitEstimators:
     def test_estimates_within_tolerance_of_scalar(self):
@@ -128,6 +160,45 @@ class TestFitEstimators:
         others = [e for i, e in enumerate(estimators) if i != 3]
         for a, b in zip(others, solo):
             assert np.array_equal(a.quantiles(QS), b.quantiles(QS))
+
+    def test_backoff_matches_scalar_fit_row_by_row(self):
+        # Three-, four-point and coarsely rounded data need at least one
+        # backoff step; two-point data fails every rung.
+        rng = np.random.default_rng(17)
+        needs_backoff = [
+            MomentsSketch.from_data([0.0] * 500 + [1.0] * 300 + [5.0] * 200,
+                                    k=8),
+            MomentsSketch.from_data([0.0] * 400 + [1.0] * 300 + [2.0] * 200
+                                    + [7.0] * 100, k=8),
+            MomentsSketch.from_data(np.round(rng.lognormal(1.0, 0.5, 2000)),
+                                    k=10),
+        ]
+        never = MomentsSketch.from_data([0.0] * 900 + [10.0] * 100, k=8)
+        sketches = (make_sketches(seed=18, count=3) + needs_backoff
+                    + [never] + make_sketches(seed=19, count=2))
+        estimators, errors, report = fit_estimators(sketches, CONFIG,
+                                                    allow_backoff=True)
+        assert report.failures == 1 and report.stragglers == 4
+        stepped = 0
+        for sketch, batched, error in zip(sketches, estimators, errors):
+            try:
+                scalar = QuantileEstimator.fit(sketch, config=CONFIG,
+                                               allow_backoff=True)
+            except ConvergenceError as exc:
+                assert batched is None
+                assert type(error) is type(exc) and str(error) == str(exc)
+                continue
+            assert error is None
+            assert batched.selection == scalar.selection
+            assert (batched.basis.k1, batched.basis.k2) \
+                == (scalar.basis.k1, scalar.basis.k2)
+            assert batched.result.theta.tobytes() \
+                == scalar.result.theta.tobytes()
+            assert batched.quantiles(QS).tobytes() \
+                == scalar.quantiles(QS).tobytes()
+            stepped += (scalar.basis.k1 + scalar.basis.k2
+                        < scalar.selection.k1 + scalar.selection.k2)
+        assert stepped == len(needs_backoff)
 
     def test_results_independent_of_batch_composition(self):
         # Convergence masks and tabulation buckets are per-problem: a

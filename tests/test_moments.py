@@ -82,6 +82,57 @@ class TestShiftedScaledMoments:
         np.testing.assert_allclose(scaled, [1.0, 0.0, 0.0])
 
 
+def reference_shifted_moments(mu, shift):
+    """The stacked branch of ``shifted_moments`` as an explicit loop: the
+    left fold over the moment index that ``np.cumsum`` replaces."""
+    mu = np.asarray(mu, dtype=float)
+    size = mu.shape[-1]
+    pascal, exponent_index = mo._shift_structure(size)
+    with np.errstate(all="ignore"):
+        powers = (-np.asarray(shift, dtype=float))[..., None] ** np.arange(size)
+        matrix = pascal * powers[..., exponent_index]
+        out = matrix[..., :, 0] * mu[..., 0, None]
+        for j in range(1, size):
+            out += matrix[..., :, j] * mu[..., j, None]
+    out[..., 0] = 1.0
+    return out
+
+
+class TestShiftedMomentsStacked:
+    def test_matches_loop_reference_bit_for_bit(self):
+        # Sizes 2-17 and 1-50 rows, with inf/nan debris in some moments
+        # and shifts.  Every non-NaN entry matches bit for bit and NaNs sit
+        # in the same places; a NaN's sign bit is not part of its value
+        # (the loop's in-place add keeps the addend's NaN, the cumulative
+        # sum the running total's).
+        rng = np.random.default_rng(6)
+        for case in range(600):
+            size = int(rng.integers(2, 18))
+            rows = int(rng.integers(1, 51))
+            mu = (rng.normal(size=(rows, size))
+                  * 10.0 ** rng.uniform(-5, 5, (rows, size)))
+            shift = rng.normal(size=rows) * 10.0 ** rng.uniform(-3, 3, rows)
+            if case % 3 == 0:
+                mu[rng.integers(rows), rng.integers(size)] = rng.choice(
+                    [np.inf, -np.inf, np.nan])
+            if case % 5 == 0:
+                shift[rng.integers(rows)] = rng.choice([np.inf, np.nan, 1e200])
+            expected = reference_shifted_moments(mu, shift)
+            got = mo.shifted_moments(mu, shift)
+            nan = np.isnan(expected)
+            assert np.array_equal(nan, np.isnan(got))
+            assert expected[~nan].tobytes() == got[~nan].tobytes()
+
+    def test_row_alone_equals_row_in_batch(self):
+        rng = np.random.default_rng(7)
+        mu = rng.normal(size=(9, 11)) * 10.0 ** rng.uniform(-3, 3, (9, 11))
+        shift = rng.normal(size=9) * 50.0
+        batch = mo.shifted_moments(mu, shift)
+        for row in range(9):
+            alone = mo.shifted_moments(mu[row:row + 1], shift[row:row + 1])
+            assert alone[0].tobytes() == batch[row].tobytes()
+
+
 class TestChebyshevMoments:
     def test_matches_direct_average(self):
         rng = np.random.default_rng(3)
