@@ -12,8 +12,10 @@
 # whose cold tier misses the 4x disk reduction or the cold-latency
 # ceiling, a telemetry overhead gate (disabled-mode guard cost <= 3%,
 # enabled-mode tracing + metrics <= 10% of query latency), a
-# multi-query-optimizer gate (>=3x on a Zipf-skewed repeated workload
-# with interleaved flushes, payloads bit-identical to cold execution),
+# multi-query-optimizer gate (its one scan cache, which keeps each cold
+# scan with the estimators fitted to it, >=3x on a Zipf-skewed repeated
+# workload with interleaved flushes, payloads bit-identical to cold
+# execution),
 # and a 3-second run of each repository benchmark workload
 # (`bench/run.py`) that fails unless the command exits 0 and its last
 # line reports `"correct": true` (every answer within the Eq. 1
@@ -79,7 +81,7 @@ bench-telemetry:
 	$(PYTHON) benchmarks/bench_telemetry.py
 
 bench-optimizer:
-	$(PYTHON) benchmarks/bench_optimizer.py --advice-out advisor.json
+	$(PYTHON) benchmarks/bench_optimizer.py --advice-out optimizer_bench.json
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q \

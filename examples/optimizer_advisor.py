@@ -3,15 +3,18 @@
 Builds a cube of pre-aggregated cells, then replays a Zipf-skewed
 query mix (the same few dashboard queries over and over, with ingest
 flushes interleaved) through a `QueryService` carrying an
-`Optimizer`.  Along the way it prints:
+`Optimizer`.  The optimizer has one cache tier: each cold scan, kept
+with the estimators fitted to it.  Along the way it prints:
 
-1. the cache tiers at work — a cold execution, a verbatim response
-   hit, a partial hit that reuses the merge for different quantiles,
-   and the invalidation a flush causes;
-2. the workload profile the advisor accumulates, and its ranking of
-   materialization candidates;
-3. the effect of pinning the top roll-up: group queries served from a
-   packed store, refreshed bit-exactly after the next flush.
+1. the scan cache at work — a cold execution, a repeat that runs
+   neither the merge nor the fit, a different-quantile query that reuses
+   both, and the invalidation a flush causes;
+2. a grouped scan: the cold `group_by` seeds every group's fit, so a
+   repeat and a `top_n` over the same groups fit nothing, while a
+   grouped `threshold_count` still runs its bounds;
+3. the cache counters after the skewed workload, and the offline advice
+   `rank_metrics` (`repro optimizer advise`) draws from the telemetry
+   scan counters.
 
 Every served answer is checked against an uncached mirror service —
 the optimizer's contract is speed without payload drift.
@@ -21,6 +24,7 @@ Run with::
     PYTHONPATH=src python examples/optimizer_advisor.py
 """
 
+import json
 import pathlib
 import sys
 import time
@@ -32,8 +36,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.api import QueryService, QuerySpec  # noqa: E402
 from repro.datacube import CubeSchema, DataCube  # noqa: E402
 from repro.ingest import IngestSession  # noqa: E402
-from repro.optimizer import Optimizer  # noqa: E402
+from repro.optimizer import Optimizer, rank_metrics  # noqa: E402
 from repro.summaries.moments_summary import MomentsSummary  # noqa: E402
+from repro.telemetry import TELEMETRY, render_json  # noqa: E402
 
 ROWS = 60_000
 CELLS = 300
@@ -63,6 +68,21 @@ def timed(service, spec):
     return response, (time.perf_counter() - start) * 1e3
 
 
+def same(one, two) -> bool:
+    return (one.estimates == two.estimates and one.groups == two.groups
+            and one.top == two.top and one.count == two.count)
+
+
+def replay(service, session, ops) -> list:
+    responses = []
+    for op in ops:
+        if isinstance(op, int):
+            flush_batch(session, seed=op)
+        else:
+            responses.append(service.execute(op))
+    return responses
+
+
 def main() -> None:
     cube, session = build_side()
     mirror_cube, mirror_session = build_side()
@@ -77,62 +97,70 @@ def main() -> None:
                           report_moments=True)
     groups = QuerySpec(kind="group_by", quantiles=(0.99,),
                        group_dimension="cell")
+    top = QuerySpec(kind="top_n", quantiles=(0.99,), group_dimension="cell",
+                    n=5)
+    alerts = QuerySpec(kind="threshold_count", quantiles=(0.99,),
+                       thresholds=(40.0,), group_dimension="cell")
 
-    print("== cache tiers ==")
+    print("== one scan tier ==")
     cold, ms = timed(service, dashboard)
-    print(f"cold roll-up:        {ms:7.2f} ms  route={cold.route}")
+    print(f"cold roll-up:        {ms:7.2f} ms  "
+          f"solve_route={cold.timings.solve_route}")
     hit, ms = timed(service, dashboard)
-    print(f"response hit:        {ms:7.2f} ms  "
+    print(f"repeat:              {ms:7.2f} ms  "
           f"solve_route={hit.timings.solve_route}")
-    partial, ms = timed(service, drilldown)
-    print(f"partial hit (p90):   {ms:7.2f} ms  shared_scan="
-          f"{partial.shared_scan} merge_seconds="
-          f"{partial.timings.merge_seconds}")
-    assert hit.estimates == mirror.execute(dashboard).estimates
-    assert partial.estimates == mirror.execute(drilldown).estimates
+    other, ms = timed(service, drilldown)
+    print(f"other quantile:      {ms:7.2f} ms  "
+          f"solve_route={other.timings.solve_route} "
+          f"merge_seconds={other.timings.merge_seconds}")
+    assert same(hit, mirror.execute(dashboard))
+    assert same(other, mirror.execute(drilldown))
 
     flush_batch(session, seed=101)
     flush_batch(mirror_session, seed=101)
     fresh, ms = timed(service, dashboard)
     print(f"after flush (cold):  {ms:7.2f} ms  "
-          f"solve_route={fresh.timings.solve_route or 'solved'}")
-    assert fresh.estimates == mirror.execute(dashboard).estimates
+          f"solve_route={fresh.timings.solve_route}")
+    assert same(fresh, mirror.execute(dashboard))
 
-    print("\n== skewed workload -> advisor ==")
+    print("\n== grouped scans ==")
+    for label, spec in (("cold group_by", groups), ("repeat group_by", groups),
+                        ("top_n, same groups", top),
+                        ("threshold_count", alerts)):
+        response, ms = timed(service, spec)
+        print(f"{label + ':':<21}{ms:7.2f} ms  "
+              f"solve_route={response.timings.solve_route} "
+              f"solve_calls={response.timings.solve_calls}")
+        assert same(response, mirror.execute(spec))
+
+    print("\n== skewed workload ==")
     rng = np.random.default_rng(5)
-    pool = [dashboard, groups, drilldown]
+    pool = [dashboard, groups, drilldown, top, alerts]
     weights = np.arange(1, len(pool) + 1, dtype=float) ** -ZIPF_S
     weights /= weights.sum()
+    ops: list = []  # a spec, or a flush seed
     for index in range(60):
-        service.execute(pool[int(rng.choice(len(pool), p=weights))])
+        ops.append(pool[int(rng.choice(len(pool), p=weights))])
         if index % 20 == 19:
-            flush_batch(session, seed=200 + index)
-            flush_batch(mirror_session, seed=200 + index)
-    stats = optimizer.stats()
-    print(f"profile: {stats['profile']}")
-    print(f"cache:   hit_rate={stats['cache']['hit_rate']:.2f} "
-          f"stale_drops={stats['cache']['stale_drops']}")
-    for item in optimizer.advisor.rank():
-        print(f"candidate: backend={item['backend']} kind={item['kind']} "
-              f"requests={item['requests']} "
-              f"avg_merge={item['avg_merge_seconds'] * 1e3:.2f} ms "
-              f"score={item['score']:.3g}")
-
-    print("\n== materialize the winner ==")
-    for pin in optimizer.advisor.materialize(service):
-        print(f"pinned: groups={pin['groups']} bytes={pin['bytes']} "
-              f"refreshes={pin['refreshes']}")
-    served, ms = timed(service, groups)
-    print(f"served from packed store: {ms:7.2f} ms  "
-          f"merge_seconds={served.timings.merge_seconds}")
-    assert served.groups == mirror.execute(groups).groups
-
-    flush_batch(session, seed=999)
-    flush_batch(mirror_session, seed=999)
-    refreshed, ms = timed(service, groups)
-    print(f"after flush (refresh):    {ms:7.2f} ms")
-    assert refreshed.groups == mirror.execute(groups).groups
-    print(f"materialized: {optimizer.stats()['materialized']}")
+            ops.append(200 + index)
+    # Telemetry counts the optimized side's scan-signature hits only;
+    # the mirror replays the same schedule afterwards.
+    TELEMETRY.enable(reset=True)
+    try:
+        served = replay(service, session, ops)
+        # The same dump `repro telemetry dump` writes for the CLI.
+        metrics = json.loads(render_json(TELEMETRY.registry))
+    finally:
+        TELEMETRY.disable()
+    expected = replay(mirror, mirror_session, ops)
+    assert all(same(one, two) for one, two in zip(served, expected))
+    cache = optimizer.stats()["cache"]
+    print(f"cache:  hits={cache['hits']} misses={cache['misses']} "
+          f"hit_rate={cache['hit_rate']:.2f} "
+          f"stale_drops={cache['stale_drops']} bytes={cache['bytes']}")
+    for item in rank_metrics(metrics):
+        print(f"advice: backend={item['backend']} scans={item['scans']} "
+              f"hit_rate={item['hit_rate']:.2f} -> {item['action']}")
     print("\nall served payloads matched the uncached mirror bit for bit")
 
 

@@ -12,7 +12,7 @@ pattern ``repro/cluster/broker.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 
@@ -59,9 +59,6 @@ class AnalysisConfig:
     #: Builtin exception names the taxonomy rule rejects.
     bare_errors: Tuple[str, ...] = ("ValueError",)
 
-    def with_overrides(self, **kwargs: object) -> "AnalysisConfig":
-        return replace(self, **kwargs)  # type: ignore[arg-type]
-
 
 #: GUARDED_BY registry for the threaded production modules.  Attributes
 #: not listed (schema fields, config knobs, backend handles) are
@@ -104,12 +101,6 @@ DEFAULT_GUARDED_BY: Dict[str, Dict[str, LockSpec]] = {
     "repro/optimizer/cache.py": {
         "MergeCache": _lock("_entries", "bytes_used", "hits", "misses",
                             "evictions", "stale_drops"),
-    },
-    "repro/optimizer/advisor.py": {
-        "WorkloadProfile": _lock("_scans"),
-    },
-    "repro/optimizer/planner.py": {
-        "Optimizer": _lock("_materialized"),
     },
 }
 

@@ -213,13 +213,6 @@ def is_self_attr(node: ast.AST, attr: Optional[str] = None) -> bool:
             and (attr is None or node.attr == attr))
 
 
-def iter_functions(tree: ast.Module) -> Iterator[ast.AST]:
-    """Every function/method in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------

@@ -38,10 +38,6 @@ class QueryPlan:
     scan_key: tuple | None
     fused_quantiles: tuple[float, ...]
 
-    @property
-    def shareable(self) -> bool:
-        return self.scan_key is not None
-
 
 def plan(spec: QuerySpec, backend: Backend,
          backend_name: str | None = None) -> QueryPlan:
@@ -67,17 +63,3 @@ def plan(spec: QuerySpec, backend: Backend,
     return QueryPlan(spec=spec, backend_name=name, mode=mode, route=route,
                      scan_key=scan_key, fused_quantiles=spec.quantiles)
 
-
-def solve_signature(spec: QuerySpec) -> tuple:
-    """Hashable identity of everything *after* the merge.
-
-    Two specs with equal scan signatures share a merged partial; they
-    only share a solved :class:`~repro.api.QueryResponse` when the solve
-    inputs match too — same kind, targets, estimator, cascade stages,
-    and reporting flags.  The optimizer's response-cache key is
-    ``scan_key + solve_signature`` (the service appends its own solver
-    configuration, which also shapes payloads).
-    """
-    return (spec.kind, spec.quantiles, spec.thresholds, spec.n,
-            spec.estimator, spec.cascade_stages, spec.report_bounds,
-            spec.report_moments)

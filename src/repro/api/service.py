@@ -22,14 +22,14 @@ from ..core.bounds import (markov_bound_batch, quantile_error_bounds,
                            rtt_bound_batch)
 from ..core.cascade import ThresholdCascade
 from ..core.errors import QueryError
-from ..core.quantile import QuantileEstimator, safe_estimate_quantiles
+from ..core.quantile import QuantileEstimator, two_point_quantiles
 from ..core.sketch import ColumnarMoments, MomentsSketch
 from ..core.solver import SolverConfig
 from ..summaries.moments_summary import MomentsSummary
 from ..telemetry import TELEMETRY
 from .backends import (Backend, GroupRollupResult, RollupResult, as_backend,
                        sketch_of)
-from .planner import QueryPlan, plan, solve_signature
+from .planner import QueryPlan, plan
 from .spec import QueryResponse, QuerySpec, QueryTimings, qkey
 
 
@@ -41,8 +41,8 @@ class BatchReport:
     distinct_scans: int
     shared_hits: int
     merge_calls: int
-    #: Specs served by the cross-batch optimizer (response, partial, or
-    #: materialized-roll-up tier) rather than this batch's own scans.
+    #: Specs whose scan the cross-batch optimizer served rather than
+    #: this batch's own scans.
     cache_hits: int = 0
 
 
@@ -72,11 +72,11 @@ class QueryService:
     ``timings.solve_route``/``solve_calls`` report which path ran.
 
     ``optimizer`` (opt-in) attaches a
-    :class:`~repro.optimizer.Optimizer`: scans and solved responses are
-    then cached *across* batches, invalidated by the flush epochs that
-    :class:`~repro.ingest.IngestSession` advances.  It is never on by
-    default because writes that bypass the ingest layer (direct kernel
-    mutation) would silently serve stale answers.
+    :class:`~repro.optimizer.Optimizer`: scans, with the estimators
+    fitted to them, are then cached *across* batches, invalidated by the
+    flush epochs that :class:`~repro.ingest.IngestSession` advances.  It
+    is never on by default because writes that bypass the ingest layer
+    (direct kernel mutation) would silently serve stale answers.
     """
 
     def __init__(self, *args, config: SolverConfig | None = None,
@@ -171,7 +171,7 @@ class QueryService:
             response, shared, merges, source = run(spec, rollups,
                                                    group_rollups)
             shared_hits += shared
-            cache_hits += source in ("response", "partial", "advisor")
+            cache_hits += source == "optimizer"
             merge_calls += merges
             responses.append(response)
         self.last_batch_report = BatchReport(
@@ -187,10 +187,11 @@ class QueryService:
         """Run one spec against the batch's (and optimizer's) scan caches.
 
         Returns ``(response, shared_scan, new_merge_calls, source)``;
-        ``source`` names the tier that served the scan — ``"batch"``
-        (intra-batch sharing), ``"response"``/``"partial"``/``"advisor"``
-        (optimizer tiers), ``"refresh"`` (a stale materialized roll-up
-        re-merged), ``"cold"``, or ``"window"``.
+        ``source`` names what served the scan — ``"batch"`` (intra-batch
+        sharing of this batch's cold scan), ``"optimizer"`` (the
+        cross-batch scan cache), ``"cold"``, or ``"window"``.  An
+        optimizer hit whose summaries hold their fit runs neither merge
+        nor fit and reports solve route ``"cached"``.
         """
         name, backend = self._resolve(spec)
         start = time.perf_counter()
@@ -199,66 +200,48 @@ class QueryService:
         if the_plan.mode == "windowed":
             return (self._run_windowed(spec, the_plan, backend, plan_seconds),
                     False, 0, "window")
-        cache = group_rollups if the_plan.mode == "group" else rollups
+        group = the_plan.mode == "group"
+        # The batch's own scans, each with whether the optimizer served it.
+        cache = group_rollups if group else rollups
         shared = the_plan.scan_key in cache
         merges = 0
-        opt = self.optimizer
-        token = epoch = solve_sig = None
         if shared:
-            result = cache[the_plan.scan_key]
-            source = "batch"
-        elif opt is not None:
-            token = opt.token(backend)
-            epoch = opt.scan_epoch(backend, spec)
-            # The response tier keys on everything that shapes the
-            # payload: the spec's solve inputs plus the service's own
-            # estimation knobs.
-            solve_sig = solve_signature(spec) + (self.config,)
-            start = time.perf_counter()
-            hit = opt.cached_response(token, the_plan, solve_sig, epoch)
-            lookup_seconds = time.perf_counter() - start
-            if hit is not None:
-                response = replace(
-                    hit, shared_scan=True,
-                    timings=QueryTimings(
-                        planner_seconds=plan_seconds + lookup_seconds,
-                        solve_route="cached"))
-                return response, True, 0, "response"
-            result, source = opt.lookup_scan(backend, token, the_plan,
-                                             epoch)
+            result, from_optimizer = cache[the_plan.scan_key]
+        else:
+            opt = self.optimizer
+            result, from_optimizer = None, False
+            if opt is not None:
+                token = opt.token(backend)
+                epoch = opt.scan_epoch(backend, spec)
+                result = opt.lookup_scan(token, the_plan, epoch)
+                from_optimizer = result is not None
             if result is None:
-                result = (backend.group_rollup(spec)
-                          if the_plan.mode == "group"
+                result = (backend.group_rollup(spec) if group
                           else backend.rollup(spec))
                 merges = result.merge_calls
-                opt.store_scan(token, the_plan, epoch, result)
-            elif source == "refresh":
-                merges = result.merge_calls
-            cache[the_plan.scan_key] = result
-        else:
-            source = "cold"
-            result = (backend.group_rollup(spec)
-                      if the_plan.mode == "group"
-                      else backend.rollup(spec))
-            cache[the_plan.scan_key] = result
-            merges = result.merge_calls
-        # A scan served from the cache (or an up-to-date materialized
-        # roll-up) paid a lookup, not the cold scan's locate + merge.
-        hit_scan = source in ("partial", "advisor")
+                if opt is not None:
+                    opt.store_scan(token, the_plan, epoch, result)
+            cache[the_plan.scan_key] = (result, from_optimizer)
+        source = ("optimizer" if from_optimizer
+                  else "batch" if shared else "cold")
+        cached_fit = from_optimizer and _fits_cached(spec, result)
+        # A scan served from the optimizer paid a lookup, not the cold
+        # scan's locate + merge.
         timings_base = QueryTimings(
-            planner_seconds=(plan_seconds if hit_scan
+            planner_seconds=(plan_seconds if from_optimizer
                              else plan_seconds + result.planner_seconds),
-            merge_seconds=0.0 if hit_scan else result.merge_seconds)
-        shared_scan = shared or hit_scan
-        if the_plan.mode == "group":
+            merge_seconds=0.0 if from_optimizer else result.merge_seconds)
+        shared_scan = source != "cold"
+        if group:
             response = self._finish_group(spec, the_plan, result,
                                           timings_base, shared_scan)
         else:
             self.last_rollup = result
             response = self._finish_rollup(spec, the_plan, result,
                                            timings_base, shared_scan)
-        if token is not None:
-            opt.store_response(token, the_plan, solve_sig, epoch, response)
+        if cached_fit:
+            response = replace(response, timings=replace(
+                response.timings, solve_calls=0, solve_route="cached"))
         return response, shared_scan, merges, source
 
     def _execute_traced(self, spec: QuerySpec,  # repro: noqa[TEL001]
@@ -271,9 +254,9 @@ class QueryService:
         durations are copied verbatim from the response's
         :class:`QueryTimings` (the two accountings agree exactly), a
         latency histogram per (backend, kind, route), and scan-signature
-        sharing counters labelled by the tier that served the scan —
-        intra-batch (``route="batch"``) and the optimizer's cross-batch
-        tiers (``"response"``/``"partial"``/``"advisor"``) alike.
+        sharing counters labelled by what served the scan — intra-batch
+        sharing (``route="batch"``) and the optimizer's cross-batch scan
+        cache (``"optimizer"``) alike.
         """
         tracer = TELEMETRY.tracer
         registry = TELEMETRY.registry
@@ -292,24 +275,18 @@ class QueryService:
             raise
         timings = response.timings
         base = root.start_monotonic
-        if source == "response":
-            # The whole answer came out of the optimizer's response
-            # tier: one cache phase instead of plan/merge/solve.
-            tracer.record("query.cache", timings.planner_seconds,
-                          parent=root, start_monotonic=base, tier=source)
-        else:
-            tracer.record("query.plan", timings.planner_seconds, parent=root,
-                          start_monotonic=base)
-            tracer.record("query.merge", timings.merge_seconds, parent=root,
-                          start_monotonic=base + timings.planner_seconds,
-                          merges=response.merges,
-                          cells_scanned=response.cells_scanned,
-                          shared_scan=shared)
-            tracer.record("query.solve", timings.solve_seconds, parent=root,
-                          start_monotonic=(base + timings.planner_seconds
-                                           + timings.merge_seconds),
-                          solve_route=timings.solve_route,
-                          solve_calls=timings.solve_calls)
+        tracer.record("query.plan", timings.planner_seconds, parent=root,
+                      start_monotonic=base)
+        tracer.record("query.merge", timings.merge_seconds, parent=root,
+                      start_monotonic=base + timings.planner_seconds,
+                      merges=response.merges,
+                      cells_scanned=response.cells_scanned,
+                      shared_scan=shared)
+        tracer.record("query.solve", timings.solve_seconds, parent=root,
+                      start_monotonic=(base + timings.planner_seconds
+                                       + timings.merge_seconds),
+                      solve_route=timings.solve_route,
+                      solve_calls=timings.solve_calls)
         backend_name = response.backend
         registry.histogram("query_seconds", backend=backend_name, kind=kind,
                            route=response.route).observe(root.duration_seconds)
@@ -342,15 +319,18 @@ class QueryService:
         """Per-summary quantile estimates for a group scan.
 
         Every moments-backed summary joins one stacked max-entropy solve
-        (``fit_estimators``); the solved estimator is seeded back into
-        the summary's cache so later per-group ``quantile`` calls are
-        free.  Summaries without a raw sketch (non-moments aggregators)
-        fall back to their own scalar path, and a scan with no raw
-        sketch at all reports route ``"scalar"``.  Returns
+        (``fit_estimators``); the fit, or its failure, is seeded back
+        into the summary's cache, and a summary that already holds one
+        reuses it instead of joining the solve (same config and backoff,
+        so the same bytes).  Summaries without a raw sketch (non-moments
+        aggregators) fall back to their own scalar path, and a scan with
+        no raw sketch at all reports route ``"scalar"``.  Returns
         ``(estimates, solve_calls, solve_route)``.
         """
         qs = np.asarray(spec.quantiles, dtype=float)
+        maxent = spec.estimator == "maxent"
         out: list = [None] * len(summaries)
+        backed = False
         # Fit with the config a single-summary query would use: the
         # summary's own config on the "auto" path (summary.quantiles),
         # the service config for estimator="maxent" (matching _estimates).
@@ -359,36 +339,38 @@ class QueryService:
         for index, summary in enumerate(summaries):
             if sketch_of(summary) is None:
                 continue
-            config = (self.config if spec.estimator == "maxent"
+            backed = True
+            if (not maxent and isinstance(summary, MomentsSummary)
+                    and summary.has_fit):
+                out[index] = np.atleast_1d(summary.quantiles(qs))
+                continue
+            config = (self.config if maxent
                       else getattr(summary, "config", None) or self.config)
             by_config.setdefault(config, []).append(index)
         calls = 0
         for config, rows in by_config.items():
             sketches = [summaries[index].sketch for index in rows]
             estimators, errors, _ = fit_estimators(
-                sketches, config,
-                allow_backoff=spec.estimator != "maxent")
+                sketches, config, allow_backoff=not maxent)
             calls += 1
-            for position, index in enumerate(rows):
-                estimator = estimators[position]
-                if estimator is None:
-                    if spec.estimator == "maxent":
-                        raise errors[position]
-                    # Near-discrete group: the production degradation of
-                    # MomentsSummary.quantiles (two-point-mass model).
-                    out[index] = safe_estimate_quantiles(
-                        sketches[position], qs, config)
-                    continue
+            for index, sketch, estimator, error in zip(
+                    rows, sketches, estimators, errors):
                 summary = summaries[index]
-                if isinstance(summary, MomentsSummary) \
-                        and spec.estimator != "maxent":
-                    summary._estimator = estimator
-                out[index] = np.atleast_1d(estimator.quantiles(qs))
+                if maxent:
+                    if estimator is None:
+                        raise error
+                elif isinstance(summary, MomentsSummary):
+                    summary.seed_fit(estimator)
+                # A failed fit answers from the two-point model, the
+                # production degradation of MomentsSummary.quantiles.
+                out[index] = (two_point_quantiles(sketch, qs)
+                              if estimator is None
+                              else np.atleast_1d(estimator.quantiles(qs)))
         for index, summary in enumerate(summaries):
             if out[index] is None:
                 out[index] = np.atleast_1d(self._estimates(spec, summary))
                 calls += 1
-        return out, calls, "batched" if by_config else "scalar"
+        return out, calls, "batched" if backed else "scalar"
 
     def _finish_rollup(self, spec: QuerySpec, the_plan: QueryPlan,
                        result: RollupResult, timings: QueryTimings,
@@ -570,6 +552,24 @@ class QueryService:
                                  solve_seconds=result.solve_seconds,
                                  solve_calls=max(result.windows_checked, 1),
                                  solve_route="window"))
+
+
+def _fits_cached(spec: QuerySpec, result) -> bool:
+    """Whether answering ``spec`` from ``result`` runs no fit.
+
+    True for the kinds that estimate through the summaries' own fits
+    (``"auto"`` quantiles and ``group_by``; ``top_n`` always) when every
+    summary holds its fit.  ``cdf`` and ``threshold_count`` run their
+    bounds, and ``estimator="maxent"`` fits afresh, on every call.
+    """
+    reads_fits = spec.kind == "top_n" or (
+        spec.kind in ("quantile", "group_by") and spec.estimator == "auto")
+    if not reads_fits:
+        return False
+    groups = getattr(result, "groups", None)
+    summaries = [result.summary] if groups is None else groups.values()
+    return all(isinstance(summary, MomentsSummary) and summary.has_fit
+               for summary in summaries)
 
 
 def _repeated_rows(sketch: MomentsSketch, rows: int) -> ColumnarMoments:

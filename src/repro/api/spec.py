@@ -354,13 +354,14 @@ class QueryTimings:
     solve per group for non-moments summaries),
     ``"bounds"`` (closed-form RTT/Markov bounds, the ``cdf`` kind),
     ``"window"`` (per-window sliding scans), or ``"cached"`` (no solve
-    ran at all: the multi-query optimizer served a previously solved
-    response verbatim) — and ``solve_calls`` how
+    ran at all: the multi-query optimizer served the scan, and every
+    summary still held its fit) — and ``solve_calls`` how
     many solver/bound invocations that was, ``1`` for a batched group
-    solve regardless of group count.  Every :class:`~repro.api.service
-    .QueryService` route fills both, so observability layers (the
-    benchmark's ``api.solve_calls_per_query``) can rely on them; they
-    are omitted from JSON only when zero/empty (hand-built instances).
+    solve regardless of group count, ``0`` when cached.  Every
+    :class:`~repro.api.service.QueryService` route fills both, so
+    observability layers (the benchmark's ``api.solve_calls_per_query``)
+    can rely on them; they are omitted from JSON only when zero/empty
+    (hand-built instances, and ``solve_calls`` of a cached answer).
     """
 
     planner_seconds: float = 0.0

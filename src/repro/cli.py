@@ -337,11 +337,11 @@ def _load_json_document(path: str) -> dict:
 
 
 def cmd_optimizer_advise(args: argparse.Namespace) -> dict:
-    """Offline roll-up / caching advice from a telemetry metrics dump.
+    """Offline caching advice from a telemetry metrics dump.
 
     Reads the ``scan_signature_{hits,misses}_total`` counters of a
-    ``metrics.json`` dump and ranks the backends where the optimizer
-    cache or a materialized roll-up would reclaim the most scans.
+    ``metrics.json`` dump and ranks the backends where the optimizer's
+    scan cache would reclaim the most scans.
     """
     from .optimizer import rank_metrics
 
@@ -354,9 +354,9 @@ def cmd_optimizer_advise(args: argparse.Namespace) -> dict:
 
 
 def cmd_optimizer_stats(args: argparse.Namespace) -> dict:
-    """Show an ``Optimizer.stats()`` dump (cache, profile, materialized)."""
+    """Show an ``Optimizer.stats()`` dump (the scan cache's counters)."""
     payload = _load_json_document(args.source)
-    if "cache" in payload and "profile" in payload:
+    if "cache" in payload:
         return {"source": args.source, "optimizer": payload}
     raise ValueError(
         f"{args.source} carries no optimizer stats (expected an "
@@ -718,16 +718,17 @@ def build_parser() -> argparse.ArgumentParser:
     optimizer_sub = optimizer.add_subparsers(dest="action", required=True)
 
     opt_advise = optimizer_sub.add_parser(
-        "advise", help="rank roll-up/caching opportunities from a "
-                       "telemetry metrics dump")
+        "advise", help="rank the backends whose repeated scans the "
+                       "optimizer would cache, from a telemetry metrics "
+                       "dump")
     opt_advise.add_argument("source", help="metrics.json dump")
     opt_advise.add_argument("--top", type=_positive_int, default=5,
                             help="number of recommendations (default 5)")
     opt_advise.set_defaults(handler=cmd_optimizer_advise)
 
     opt_stats = optimizer_sub.add_parser(
-        "stats", help="show an Optimizer.stats() dump "
-                      "(cache/profile/materialized)")
+        "stats", help="show an Optimizer.stats() dump (scan cache "
+                      "hits, misses, bytes, evictions)")
     opt_stats.add_argument("source", help="Optimizer.stats() JSON")
     opt_stats.set_defaults(handler=cmd_optimizer_stats)
 

@@ -11,7 +11,7 @@ from .errors import (
     ReproError, SketchError, IncompatibleSketchError, EmptySketchError,
     ConvergenceError, EstimationError, BoundError, EncodingError,
     DatasetError, QueryError, IngestError, BackpressureError,
-    OptimizerError, TelemetryError, AnalysisError,
+    TelemetryError, AnalysisError,
 )
 
 __all__ = [
@@ -24,5 +24,5 @@ __all__ = [
     "ReproError", "SketchError", "IncompatibleSketchError", "EmptySketchError",
     "ConvergenceError", "EstimationError", "BoundError", "EncodingError",
     "DatasetError", "QueryError", "IngestError", "BackpressureError",
-    "OptimizerError", "TelemetryError", "AnalysisError",
+    "TelemetryError", "AnalysisError",
 ]

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, EstimationError
-from .quantile import QuantileEstimator, _back_off, _cdf_tables
+from .quantile import (QuantileEstimator, _back_off, _cdf_tables,
+                       two_point_quantiles)
 from .selector import MomentSelection, select_moments_batch
 from .solver import (MaxEntBasis, MaxEntResult, SolverConfig, _newton,
                      build_bases_batch)
@@ -175,18 +176,16 @@ def estimate_quantiles_batch(sketches, qs, config: SolverConfig | None = None,
 
     Convenience wrapper over :func:`fit_estimators` with the production
     degradation of ``MomentsSummary``: problems that stay non-convergent
-    even after backoff fall back to the two-point-mass model of
-    :func:`repro.core.quantile.safe_estimate_quantiles`.
+    even after backoff are answered by the two-point-mass model
+    (:func:`repro.core.quantile.two_point_quantiles`), without a re-fit.
     """
-    from .quantile import safe_estimate_quantiles
-
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     estimators, _, _ = fit_estimators(sketches, config,
                                       allow_backoff=allow_backoff)
     out = np.empty((len(estimators), qs.size))
     for row, (sketch, estimator) in enumerate(zip(sketches, estimators)):
         if estimator is None:
-            out[row] = safe_estimate_quantiles(sketch, qs, config=config)
+            out[row] = two_point_quantiles(sketch, qs)
         else:
             out[row] = estimator.quantiles(qs)
     return out

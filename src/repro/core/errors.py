@@ -80,17 +80,6 @@ class BackpressureError(IngestError):
     """
 
 
-class OptimizerError(QueryError):
-    """The multi-query optimizer could not serve or materialize a scan.
-
-    Raised by :mod:`repro.optimizer` when a roll-up cannot be pinned
-    (e.g. its group summaries are not moments-backed and therefore have
-    no packed representation).  Subclasses :class:`QueryError` so the
-    advisor can skip such candidates with the same guard callers already
-    use at engine boundaries.
-    """
-
-
 class ClusterError(ReproError):
     """Invalid cluster topology operation or unroutable shard."""
 

@@ -356,9 +356,19 @@ def safe_estimate_quantiles(sketch: MomentsSketch, phis,
     try:
         return estimate_quantiles(sketch, phis, config=config)
     except ConvergenceError:
-        phis = np.asarray(phis, dtype=float)
-        if not sketch.max > sketch.min:
-            return np.full(phis.shape, sketch.min)
-        mean = sketch.power_sums[1] / sketch.count
-        weight_hi = (mean - sketch.min) / (sketch.max - sketch.min)
-        return np.where(phis <= 1.0 - weight_hi, sketch.min, sketch.max)
+        return two_point_quantiles(sketch, phis)
+
+
+def two_point_quantiles(sketch: MomentsSketch, phis) -> np.ndarray:
+    """The two-point-mass model: quantiles of a sketch whose fit failed.
+
+    Mass sits on the support endpoints with the sketch's first moment.
+    Callers that already hold the failed fit answer from here directly
+    instead of fitting again through :func:`safe_estimate_quantiles`.
+    """
+    phis = np.asarray(phis, dtype=float)
+    if not sketch.max > sketch.min:
+        return np.full(phis.shape, sketch.min)
+    mean = sketch.power_sums[1] / sketch.count
+    weight_hi = (mean - sketch.min) / (sketch.max - sketch.min)
+    return np.where(phis <= 1.0 - weight_hi, sketch.min, sketch.max)

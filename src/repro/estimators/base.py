@@ -78,11 +78,6 @@ class MomentEstimator(abc.ABC):
     def quantiles(self, problem: MomentProblem, phis: np.ndarray) -> np.ndarray:
         """Quantile estimates (data units) for each phi."""
 
-    def estimate_from_sketch(self, sketch: MomentsSketch, phis, k: int | None = None,
-                             use_log: bool = False) -> np.ndarray:
-        problem = build_problem(sketch, k=k, use_log=use_log)
-        return self.quantiles(problem, np.asarray(phis, dtype=float))
-
     def timed(self, problem: MomentProblem, phis: np.ndarray
               ) -> tuple[np.ndarray, float]:
         """(estimates, seconds) — the two axes of Figure 10."""

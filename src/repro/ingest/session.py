@@ -119,11 +119,6 @@ class IngestSession:
         with self._lock:
             return self.buffer.rows
 
-    @property
-    def pending_bytes(self) -> int:
-        with self._lock:
-            return self.buffer.nbytes
-
     def append_columns(self, values, dims: Sequence = (),
                        timestamps=None) -> int:
         """Append aligned columnar arrays; returns the rows buffered."""

@@ -1,18 +1,13 @@
-"""Epoch-invalidated, byte-budgeted LRU cache for merges and answers.
+"""Epoch-invalidated, byte-budgeted LRU cache of merged scans.
 
-:class:`MergeCache` holds two tiers of artifacts, both keyed by the
-planner's scan identity plus the engine token from
-:mod:`repro.optimizer.epochs`:
-
-* **partial** — the merged roll-up a cold scan produced (a
-  :class:`~repro.api.backends.RollupResult` or
-  :class:`~repro.api.backends.GroupRollupResult`; for moments summaries
-  ~200 bytes of packed state per cell).  A hit skips the scan + merge
-  fold entirely; the solve still runs, so any spec sharing the scan
-  signature benefits regardless of its quantiles/thresholds.
-* **response** — a fully solved :class:`~repro.api.QueryResponse`
-  payload, additionally keyed by the solve signature (kind, quantiles,
-  thresholds, estimator, ...).  A hit skips everything.
+:class:`MergeCache` holds the merged roll-up a cold scan produced (a
+:class:`~repro.api.backends.RollupResult` or
+:class:`~repro.api.backends.GroupRollupResult`; for moments summaries
+~200 bytes of packed state per cell, plus each summary's cached fit),
+keyed by the planner's scan identity plus the engine token from
+:mod:`repro.optimizer.epochs`.  A hit skips the scan + merge fold, and
+the summaries' cached fits skip the solve of every spec that reads them
+the way the cold run did.
 
 Bit-exactness is guaranteed by construction: entries are the *cold
 path's own outputs*, stored and returned unchanged — never re-derived
@@ -33,7 +28,7 @@ from dataclasses import dataclass
 
 from ..telemetry import TELEMETRY
 
-#: Default byte budget: a few thousand partials / responses.
+#: Default byte budget: a few thousand merged scans.
 DEFAULT_BUDGET_BYTES = 32 << 20
 
 
@@ -42,11 +37,10 @@ class _Entry:
     epoch: tuple
     value: object
     nbytes: int
-    tier: str
 
 
 class MergeCache:
-    """Byte-budgeted LRU of epoch-stamped partials and responses."""
+    """Byte-budgeted LRU of epoch-stamped merged scans."""
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES):
         self.budget_bytes = int(budget_bytes)
@@ -58,7 +52,7 @@ class MergeCache:
         self.evictions = 0
         self.stale_drops = 0
 
-    def get(self, key: tuple, epoch: tuple, tier: str):
+    def get(self, key: tuple, epoch: tuple):
         """The cached value for ``key`` at ``epoch``, or None (a miss).
 
         An entry stamped with a different epoch counts as a miss and is
@@ -82,12 +76,11 @@ class MergeCache:
         if TELEMETRY.enabled:
             TELEMETRY.registry.counter(
                 "optimizer_cache_hits_total" if hit
-                else "optimizer_cache_misses_total", tier=tier).inc()
+                else "optimizer_cache_misses_total").inc()
             TELEMETRY.registry.gauge("optimizer_cache_bytes").set(used)
         return value
 
-    def put(self, key: tuple, epoch: tuple, value, nbytes: int,
-            tier: str) -> None:
+    def put(self, key: tuple, epoch: tuple, value, nbytes: int) -> None:
         """Insert (or replace) an entry, evicting LRU past the budget."""
         nbytes = max(int(nbytes), 1)
         evicted = 0
@@ -97,7 +90,7 @@ class MergeCache:
                 if old is not None:
                     self.bytes_used -= old.nbytes
                 self._entries[key] = _Entry(epoch=epoch, value=value,
-                                            nbytes=nbytes, tier=tier)
+                                            nbytes=nbytes)
                 self.bytes_used += nbytes
                 while self.bytes_used > self.budget_bytes:
                     _, dropped = self._entries.popitem(last=False)

@@ -1,8 +1,7 @@
 """Flush-epoch clock: the cache-invalidation backbone of the optimizer.
 
-Every cacheable artifact the multi-query optimizer holds — a merged
-partial, a solved :class:`~repro.api.QueryResponse` payload, a
-materialized roll-up — is only valid for the engine state it was
+Every scan the multi-query optimizer caches — a merged roll-up and the
+estimators fitted to it — is only valid for the engine state it was
 computed from.  The repo's write side is funnelled through
 :class:`~repro.ingest.IngestSession` flushes (the legacy per-engine
 entry points shim through :func:`repro.ingest.session.write_columns`),
@@ -21,8 +20,8 @@ that only landed on shard 5
 epoch vector for the shards a scan reads).
 
 Failover and snapshot repair deliberately do *not* bump epochs: the
-cluster's answers are bit-exact across node failures by construction
-(PR 3), so cached payloads stay valid through them.
+cluster's answers are bit-exact across node failures by construction,
+so cached scans stay valid through them.
 """
 
 from __future__ import annotations

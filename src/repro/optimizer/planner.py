@@ -1,19 +1,20 @@
 """The multi-query optimizer facade wired into ``QueryService``.
 
 :class:`Optimizer` is the one object the service talks to.  Per query it
-answers three questions, in the order the service asks them:
+answers two questions, in the order the service asks them:
 
 1. *What engine state would this scan read?* — :meth:`scan_epoch`
    resolves the backend's cache target (the underlying engine object,
    shared across rebuilt adapters) to a flush-epoch vector.  Cluster
    backends narrow this to the shards the scan actually touches.
-2. *Is the whole answer cached?* — :meth:`cached_response` keys the
-   :class:`~repro.optimizer.MergeCache` response tier by scan signature
-   *plus* solve signature, so two specs sharing a scan but asking for
-   different quantiles miss here and meet again at the partial tier.
-3. *Is the merged partial cached, or pinned by the advisor?* —
-   :meth:`lookup_scan` checks materialized roll-ups first (refreshing
-   stale ones from the engine), then the partial tier.
+2. *Is the scan cached?* — :meth:`lookup_scan` checks the
+   :class:`~repro.optimizer.MergeCache` for the cold scan's own result.
+
+A cached scan carries its fitted estimators: moments summaries cache
+their fit (or its failure) until the next mutation, and the service
+seeds them from its batched group fit, so a hit on a quantile,
+``group_by`` or ``top_n`` spec runs neither the merge nor the fit —
+the solve is ~91% of the Eq. 2 cost, the merge the cheap remainder.
 
 Everything stored is a cold path output kept verbatim — the optimizer
 never folds two partials together to answer a query, because numpy's
@@ -25,15 +26,12 @@ bit-exactness and exact-oracle suites untouched.
 
 from __future__ import annotations
 
-import threading
-
-from .advisor import MaterializedRollup, RollupAdvisor, WorkloadProfile
 from .cache import DEFAULT_BUDGET_BYTES, MergeCache
 from .epochs import EPOCHS
 
 
 def _scan_nbytes(result) -> int:
-    """Approximate heap bytes of a cached partial (budget accounting)."""
+    """Approximate heap bytes of a cached scan (budget accounting)."""
     groups = getattr(result, "groups", None)
     if groups is None:
         summaries = [result.summary]
@@ -48,7 +46,7 @@ def _scan_nbytes(result) -> int:
 
 
 class Optimizer:
-    """Shared-subexpression cache + workload advisor for one service.
+    """Epoch-stamped cache of scans and their fitted estimators.
 
     Opt-in: construct one and pass it to
     :class:`~repro.api.QueryService`.  Requires the write side to go
@@ -59,17 +57,8 @@ class Optimizer:
     """
 
     def __init__(self, cache: MergeCache | None = None,
-                 budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                 advisor_top_k: int = 4):
+                 budget_bytes: int = DEFAULT_BUDGET_BYTES):
         self.cache = cache if cache is not None else MergeCache(budget_bytes)
-        self.profile = WorkloadProfile()
-        self.advisor = RollupAdvisor(self, top_k=advisor_top_k)
-        self._lock = threading.Lock()
-        self._materialized: dict[tuple, MaterializedRollup] = {}
-
-    # ------------------------------------------------------------------
-    # Epoch resolution
-    # ------------------------------------------------------------------
 
     def token(self, backend) -> int:
         """Stable identity of the engine behind a (rebuildable) adapter."""
@@ -87,95 +76,16 @@ class Optimizer:
             return narrow(spec)
         return (EPOCHS.epoch(backend.cache_target()),)
 
-    # ------------------------------------------------------------------
-    # Response tier
-    # ------------------------------------------------------------------
-
-    def cached_response(self, token: int, plan, solve_sig: tuple,
-                        epoch: tuple):
-        key = ("response", token) + plan.scan_key + (solve_sig,)
-        value = self.cache.get(key, epoch, "response")
-        if value is not None:
-            # A response hit is still a request against the scan — the
-            # advisor's hit-frequency ranking must see it.
-            self.profile.observe(token, plan, source="response")
-        return value
-
-    def store_response(self, token: int, plan, solve_sig: tuple,
-                       epoch: tuple, response) -> None:
-        key = ("response", token) + plan.scan_key + (solve_sig,)
-        self.cache.put(key, epoch, response,
-                       nbytes=len(response.to_json()) + 256,
-                       tier="response")
-
-    # ------------------------------------------------------------------
-    # Partial tier + materialized roll-ups
-    # ------------------------------------------------------------------
-
-    def lookup_scan(self, backend, token: int, plan, epoch: tuple):
-        """``(result, source)`` for a scan: advisor pin, cached partial,
-        or ``(None, "cold")`` telling the service to run the scan and
-        hand the result back via :meth:`store_scan`."""
-        with self._lock:
-            rollup = self._materialized.get((token,) + plan.scan_key)
-        if rollup is not None:
-            fresh = rollup.epoch == epoch
-            result = rollup.serve(backend, epoch)
-            source = "advisor" if fresh else "refresh"
-            self.profile.observe(token, plan, source=source,
-                                 merge_seconds=result.merge_seconds,
-                                 nbytes=rollup.size_bytes())
-            return result, source
-        key = ("partial", token) + plan.scan_key
-        result = self.cache.get(key, epoch, "partial")
-        if result is not None:
-            self.profile.observe(token, plan, source="partial")
-            return result, "partial"
-        return None, "cold"
+    def lookup_scan(self, token: int, plan, epoch: tuple):
+        """The cached scan for ``plan`` at ``epoch``, or ``None`` telling
+        the service to run it and hand the result to :meth:`store_scan`."""
+        return self.cache.get((token,) + plan.scan_key, epoch)
 
     def store_scan(self, token: int, plan, epoch: tuple, result) -> None:
         """Cache a cold scan's own merged output, verbatim."""
-        nbytes = _scan_nbytes(result)
-        self.profile.observe(token, plan, source="cold",
-                             merge_seconds=result.merge_seconds,
-                             nbytes=nbytes)
-        key = ("partial", token) + plan.scan_key
-        self.cache.put(key, epoch, result, nbytes=nbytes, tier="partial")
-
-    # ------------------------------------------------------------------
-    # Advisor pins
-    # ------------------------------------------------------------------
-
-    def pin(self, backend, spec, scan_key: tuple) -> MaterializedRollup:
-        """Materialize one group scan (idempotent per scan signature).
-
-        Refreshes eagerly so a non-moments group surface fails here,
-        not on the first query that would have been served.
-        """
-        token = self.token(backend)
-        key = (token,) + scan_key
-        with self._lock:
-            existing = self._materialized.get(key)
-        if existing is not None:
-            return existing
-        rollup = MaterializedRollup(token, scan_key, spec)
-        rollup.refresh(backend, self.scan_epoch(backend, spec))
-        with self._lock:
-            raced = self._materialized.setdefault(key, rollup)
-        return raced
-
-    def unpin_all(self) -> None:
-        with self._lock:
-            self._materialized.clear()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+        self.cache.put((token,) + plan.scan_key, epoch, result,
+                       nbytes=_scan_nbytes(result))
 
     def stats(self) -> dict:
         """JSON-safe snapshot (``repro optimizer stats`` reads a dump of it)."""
-        with self._lock:
-            rollups = list(self._materialized.values())
-        return {"cache": self.cache.stats(),
-                "profile": self.profile.summary(),
-                "materialized": [rollup.describe() for rollup in rollups]}
+        return {"cache": self.cache.stats()}

@@ -242,10 +242,6 @@ class TieredStore:
                 self._publish_gauges_locked()
             return cells
 
-    def ingest_values(self, values) -> int:
-        """Dimension-less convenience wrapper over :meth:`ingest_columns`."""
-        return self.ingest_columns([], values)
-
     # ------------------------------------------------------------------
     # Sealing
     # ------------------------------------------------------------------

@@ -51,10 +51,6 @@ class QueryTiming:
     def total_seconds(self) -> float:
         return self.merge_seconds + self.estimate_seconds
 
-    @property
-    def merge_seconds_each(self) -> float:
-        return self.merge_seconds / self.num_merges if self.num_merges else 0.0
-
 
 def run_query(cells: CellSet, phis: np.ndarray = PHI_GRID,
               num_cells: int | None = None) -> QueryTiming:

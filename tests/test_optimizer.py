@@ -1,7 +1,7 @@
-"""Multi-query optimizer tests: caches, epochs, advisor, bit-exactness.
+"""Multi-query optimizer tests: the scan cache, epochs, bit-exactness.
 
 The optimizer's whole contract is *performance without payload drift*:
-every answer served from a cache tier must equal — bit for bit — what
+every answer served from a cached scan must equal — bit for bit — what
 the cold path would have produced against the same engine state.  The
 tests here pit an optimizer-enabled :class:`~repro.api.QueryService`
 against an uncached mirror through interleaved flushes, shard-local
@@ -74,9 +74,9 @@ class TestMergeCache:
 
     def test_hit_miss_and_stats(self):
         cache = MergeCache(budget_bytes=1024)
-        assert cache.get(self.KEY, (0,), "partial") is None
-        cache.put(self.KEY, (0,), "value", nbytes=100, tier="partial")
-        assert cache.get(self.KEY, (0,), "partial") == "value"
+        assert cache.get(self.KEY, (0,)) is None
+        cache.put(self.KEY, (0,), "value", nbytes=100)
+        assert cache.get(self.KEY, (0,)) == "value"
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["entries"] == 1 and stats["bytes"] == 100
@@ -84,41 +84,41 @@ class TestMergeCache:
 
     def test_epoch_mismatch_drops_stale_entry(self):
         cache = MergeCache(budget_bytes=1024)
-        cache.put(self.KEY, (0,), "old", nbytes=100, tier="partial")
-        assert cache.get(self.KEY, (1,), "partial") is None
+        cache.put(self.KEY, (0,), "old", nbytes=100)
+        assert cache.get(self.KEY, (1,)) is None
         assert len(cache) == 0
         assert cache.stats()["stale_drops"] == 1
         assert cache.stats()["bytes"] == 0
 
     def test_lru_eviction_over_byte_budget(self):
         cache = MergeCache(budget_bytes=250)
-        cache.put(("a",), (0,), "a", nbytes=100, tier="partial")
-        cache.put(("b",), (0,), "b", nbytes=100, tier="partial")
-        assert cache.get(("a",), (0,), "partial") == "a"  # a is now MRU
-        cache.put(("c",), (0,), "c", nbytes=100, tier="partial")
-        assert cache.get(("b",), (0,), "partial") is None  # LRU went first
-        assert cache.get(("a",), (0,), "partial") == "a"
-        assert cache.get(("c",), (0,), "partial") == "c"
+        cache.put(("a",), (0,), "a", nbytes=100)
+        cache.put(("b",), (0,), "b", nbytes=100)
+        assert cache.get(("a",), (0,)) == "a"  # a is now MRU
+        cache.put(("c",), (0,), "c", nbytes=100)
+        assert cache.get(("b",), (0,)) is None  # LRU went first
+        assert cache.get(("a",), (0,)) == "a"
+        assert cache.get(("c",), (0,)) == "c"
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["bytes"] <= 250
 
     def test_oversized_entry_is_not_admitted(self):
         cache = MergeCache(budget_bytes=50)
-        cache.put(self.KEY, (0,), "huge", nbytes=1000, tier="partial")
+        cache.put(self.KEY, (0,), "huge", nbytes=1000)
         assert len(cache) == 0
-        assert cache.get(self.KEY, (0,), "partial") is None
+        assert cache.get(self.KEY, (0,)) is None
 
     def test_replacement_reaccounts_bytes(self):
         cache = MergeCache(budget_bytes=1024)
-        cache.put(self.KEY, (0,), "v1", nbytes=100, tier="partial")
-        cache.put(self.KEY, (1,), "v2", nbytes=300, tier="partial")
+        cache.put(self.KEY, (0,), "v1", nbytes=100)
+        cache.put(self.KEY, (1,), "v2", nbytes=300)
         assert cache.stats()["bytes"] == 300
-        assert cache.get(self.KEY, (1,), "partial") == "v2"
+        assert cache.get(self.KEY, (1,)) == "v2"
 
     def test_clear(self):
         cache = MergeCache(budget_bytes=1024)
-        cache.put(self.KEY, (0,), "v", nbytes=100, tier="partial")
+        cache.put(self.KEY, (0,), "v", nbytes=100)
         cache.clear()
         assert len(cache) == 0 and cache.stats()["bytes"] == 0
 
@@ -183,9 +183,10 @@ class TestResponseAndPartialTiers:
         optimized, _, mirror, _, _ = make_pair()
         optimized.execute(FULL)
         other = optimized.execute(OTHER_Q)
-        # Same scan signature, different solve signature: the partial
-        # tier serves the merged summary; the solve still runs.
-        assert other.timings.solve_route != "cached"
+        # Same scan signature, different quantiles: the cached scan's
+        # summary still holds the fit the first query made, so neither
+        # the merge nor the fit runs again.
+        assert other.timings.solve_route == "cached"
         assert other.shared_scan is True
         assert other.timings.merge_seconds == 0.0
         assert_same_payload(other, mirror.execute(OTHER_Q))
@@ -244,6 +245,11 @@ class TestEpochInvalidation:
                                 mirror.execute(spec))
 
 
+GROUP_THRESHOLD = QuerySpec(kind="threshold_count", quantiles=(0.9,),
+                            thresholds=(4.0, 9.0), group_dimension="cell")
+MAXENT = QuerySpec(kind="quantile", quantiles=(0.25, 0.75),
+                   estimator="maxent", report_moments=True)
+
 QUERY_POOL = (
     FULL,
     OTHER_Q,
@@ -252,6 +258,8 @@ QUERY_POOL = (
     GROUP,
     QuerySpec(kind="top_n", quantiles=(0.9,), group_dimension="cell", n=3),
     QuerySpec(kind="cdf", thresholds=(2.0, 8.0)),
+    GROUP_THRESHOLD,
+    MAXENT,
 )
 
 
@@ -354,47 +362,60 @@ class TestClusterPerShardInvalidation:
         assert_same_payload(after, mirror.execute(FULL))
 
 
-class TestRollupAdvisor:
-    def test_rank_materialize_and_refresh_bit_exact(self):
-        optimized, session_a, mirror, session_b, optimizer = make_pair()
-        optimized.execute(GROUP)
-        optimized.execute(GROUP)
-        ranked = optimizer.advisor.rank()
-        assert ranked and ranked[0]["kind"] == "group_by"
-        assert ranked[0]["requests"] == 2
+class TestScanTierReusesFits:
+    @staticmethod
+    def count_newton(monkeypatch) -> list:
+        """Record every Newton solve, one-row and stacked alike."""
+        from repro.core import batch_solver, solver
 
-        pinned = optimizer.advisor.materialize(optimized)
-        assert len(pinned) == 1 and pinned[0]["groups"] == CELLS
+        calls: list = []
+        original = solver._newton
 
-        served = optimized.execute(GROUP)
-        assert served.shared_scan is True
-        assert served.timings.merge_seconds == 0.0
-        assert served.groups == mirror.execute(GROUP).groups
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-        values, cells = batch(300)
-        for session in (session_a, session_b):
-            session.append_columns(values, dims=[cells])
-            session.flush()
-        refreshed = optimized.execute(GROUP)
-        assert refreshed.groups == mirror.execute(GROUP).groups
-        described = optimizer.stats()["materialized"]
-        assert described[0]["refreshes"] == 2  # pin + post-flush refresh
+        monkeypatch.setattr(solver, "_newton", counting)
+        monkeypatch.setattr(batch_solver, "_newton", counting)
+        return calls
 
-    def test_quantile_only_workloads_rank_nothing(self):
-        optimized, _, _, _, optimizer = make_pair()
-        optimized.execute(FULL)
-        optimized.execute(FULL)
-        assert optimizer.advisor.rank() == []
+    def test_repeated_group_by_runs_no_fit(self, monkeypatch):
+        optimized, _, mirror, _, _ = make_pair()
+        calls = self.count_newton(monkeypatch)
+        cold = optimized.execute(GROUP)
+        assert calls and cold.timings.solve_route == "batched"
+        calls.clear()
+        hit = optimized.execute(GROUP)
+        assert not calls
+        assert hit.timings.solve_route == "cached"
+        assert hit.timings.solve_calls == 0
+        assert hit.timings.merge_seconds == 0.0
+        assert_same_payload(hit, mirror.execute(GROUP))
+        # top_n ranks through the same fits the group_by seeded.
+        calls.clear()
+        top = QuerySpec(kind="top_n", quantiles=(0.9,),
+                        group_dimension="cell", n=3)
+        ranked = optimized.execute(top)
+        assert not calls
+        assert ranked.top == mirror.execute(top).top
+
+    def test_bounds_and_maxent_hits_still_compute(self):
+        optimized, _, mirror, _, _ = make_pair()
+        for spec in (GROUP_THRESHOLD, MAXENT):
+            optimized.execute(spec)
+            hit = optimized.execute(spec)
+            assert hit.shared_scan is True
+            assert hit.timings.merge_seconds == 0.0
+            assert hit.timings.solve_route != "cached"
+            assert_same_payload(hit, mirror.execute(spec))
 
     def test_stats_snapshot_is_json_safe(self):
         optimized, _, _, _, optimizer = make_pair()
         optimized.execute(GROUP)
         optimized.execute(GROUP)
-        optimizer.advisor.materialize(optimized)
-        payload = json.loads(json.dumps(optimizer.stats(), default=float))
-        assert payload["cache"]["hits"] >= 1
-        assert payload["profile"]["requests"] >= 2
-        assert payload["materialized"][0]["groups"] == CELLS
+        payload = json.loads(json.dumps(optimizer.stats()))
+        assert payload["cache"]["hits"] == 1
+        assert payload["cache"]["entries"] == 1
 
 
 class TestOfflineAdvice:
@@ -430,7 +451,6 @@ class TestOfflineAdvice:
         assert main(["optimizer", "stats", str(stats)]) == 0
         shown = json.loads(capsys.readouterr().out)
         assert shown["optimizer"]["cache"]["hits"] >= 1
-        assert shown["optimizer"]["profile"]["requests"] >= 2
 
         # Each command refuses the other's document.
         assert main(["optimizer", "advise", str(stats)]) == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.errors import ConvergenceError
 from repro.summaries import (
     EquiWidthHistogramSummary,
     ExactSummary,
@@ -229,6 +230,46 @@ class TestMomentsSummaryAdapter:
         assert summary._estimator is None  # mutation dropped the cache
         second = summary.quantile(0.5)
         assert second != first
+
+    def test_failed_fit_costs_one_fit(self, monkeypatch):
+        """Two-point data (Figure 8): the first call runs one backoff
+        ladder, later calls none, and the answers keep the bytes of the
+        re-fitting fallback (``safe_estimate_quantiles``)."""
+        from repro.core import solver
+        from repro.core.quantile import (QuantileEstimator,
+                                         safe_estimate_quantiles)
+
+        data = np.asarray([0.0] * 700 + [1.0] * 300)
+        phis = [0.1, 0.5, 0.9]
+        summary = MomentsSummary.from_data(data, k=10)
+        expected = safe_estimate_quantiles(summary.sketch, phis,
+                                           summary.config)
+        calls = []
+        original = solver._newton
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton", counting)
+        with pytest.raises(ConvergenceError):
+            QuantileEstimator.fit(summary.sketch, config=summary.config,
+                                  allow_backoff=True)
+        ladder = len(calls)
+        assert ladder >= 1
+        calls.clear()
+        first = summary.quantiles(phis)
+        assert len(calls) == ladder
+        for _ in range(3):
+            calls.clear()
+            again = summary.quantiles(phis)
+            assert summary.quantile(0.9) == expected[2]
+            assert not calls
+            assert again.tobytes() == expected.tobytes()
+        assert first.tobytes() == expected.tobytes()
+        # A mutation drops the cached failure along with the data.
+        summary.accumulate(np.full(10, 0.5))
+        assert not summary.has_fit
 
     def test_paper_headline_size(self):
         assert MomentsSummary(k=10).size_bytes() < 200
