@@ -20,8 +20,10 @@ Each row prints both arms' seconds and milliseconds per sketch, the
 speedup, and the most Newton iterations any group needed in each arm
 (batched/scalar).  Beside the table it prints what one Newton problem
 costs alone: microseconds per sketch of one-row ``solve`` and of
-``solve_batch([basis])``, both the n = 1 case of the stacked kernel
-(informational; no gate).
+``solve_batch([basis])``, both the n = 1 case of the stacked kernel, and
+what moment selection costs: microseconds per sketch of one-row
+``select_moments`` and of one ``select_moments_batch`` over all the
+groups (informational; no gate).
 
 Usage::
 
@@ -50,6 +52,8 @@ from repro.api import PackedStoreBackend, QueryService, QuerySpec, qkey  # noqa:
 from repro.core.cascade import ThresholdCascade  # noqa: E402
 from repro.core.batch_solver import fit_estimators, solve_batch  # noqa: E402
 from repro.core.quantile import QuantileEstimator  # noqa: E402
+from repro.core.selector import (select_moments,  # noqa: E402
+                                 select_moments_batch)
 from repro.core.solver import solve  # noqa: E402
 from repro.workload import build_packed_cells  # noqa: E402
 
@@ -184,6 +188,24 @@ def one_row_costs(cells, n: int, repeats: int) -> tuple[float, float]:
     return costs[0], costs[1]
 
 
+def selection_costs(cells, n: int, repeats: int) -> tuple[float, float]:
+    """Microseconds per sketch of one-row ``select_moments`` and of one
+    ``select_moments_batch`` over the merged sketches of ``n`` groups,
+    best of ``repeats`` passes."""
+    sketches = [summary.sketch
+                for summary in _groups(_service(cells, n)).values()]
+    costs = []
+    for run in (lambda: [select_moments(s, cells.config) for s in sketches],
+                lambda: select_moments_batch(sketches, cells.config)):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - start)
+        costs.append(1e6 * best / len(sketches))
+    return costs[0], costs[1]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -239,6 +261,10 @@ def main(argv: list[str] | None = None) -> int:
     solve_us, batch_us = one_row_costs(cells, one_row, max(repeats, 5))
     print(f"one-row Newton over {one_row} cells: solve {solve_us:.0f} us/sketch, "
           f"solve_batch([basis]) {batch_us:.0f} us/sketch")
+    scalar_us, batch_us = selection_costs(cells, one_row, max(repeats, 5))
+    print(f"moment selection over {one_row} cells: select_moments "
+          f"{scalar_us:.0f} us/sketch, select_moments_batch "
+          f"{batch_us:.0f} us/sketch")
 
     failures = check_decisions(cells, min(256, max(sizes)))
     if gate_speedup is not None and gate_speedup < args.require_speedup:

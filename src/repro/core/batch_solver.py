@@ -16,8 +16,8 @@ slice, so a problem's trajectory is independent of its batch-mates, the
 property the cross-backend bit-exactness suite leans on.
 
 :func:`fit_estimators` is the high-level entry point: it batches moment
-selection (:func:`repro.core.selector.select_moments_batch`), basis
-construction, the Newton solves, and the CDF build
+selection (:func:`repro.core.selector.select_moments_batch`, which also
+builds each problem's basis), the Newton solves, and the CDF build
 (:func:`repro.core.quantile._cdf_tables`), and returns per-sketch
 :class:`~repro.core.quantile.QuantileEstimator` objects.  These are the
 kernels ``QuantileEstimator.fit`` runs on one row, and a problem that
@@ -36,8 +36,7 @@ from .errors import ConvergenceError, EstimationError
 from .quantile import (QuantileEstimator, _back_off, _cdf_tables,
                        two_point_quantiles)
 from .selector import MomentSelection, select_moments_batch
-from .solver import (MaxEntBasis, MaxEntResult, SolverConfig, _newton,
-                     build_bases_batch)
+from .solver import MaxEntBasis, MaxEntResult, SolverConfig, _newton
 
 
 @dataclass
@@ -134,9 +133,7 @@ def fit_estimators(sketches, config: SolverConfig | None = None,
             batched=0, stragglers=0, failures=0)
 
     selections = select_moments_batch([sketches[i] for i in solvable], config)
-    bases = build_bases_batch([sketches[i] for i in solvable],
-                              [sel.k1 for sel in selections],
-                              [sel.k2 for sel in selections], config)
+    bases = [selection.basis for selection in selections]
     outcome = solve_batch(bases, config)
 
     stragglers = len(outcome.stragglers)

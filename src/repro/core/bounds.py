@@ -136,49 +136,38 @@ def _cheap_order_caps_rows(moments: ColumnarMoments, rows: np.ndarray
     return np.maximum(k1, 1), k2
 
 
-def _valid_transform_moments_rows(values: np.ndarray, span: np.ndarray
-                                  ) -> np.ndarray:
-    """Row-wise mask of usable moments of a non-negative transform.
+def _markov_rows(mu: np.ndarray, lows: np.ndarray, highs: np.ndarray,
+                 points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Markov bounds on ``F(point)`` per row of raw moments on [low, high].
 
-    A genuine moment of data on [0, span] is finite, non-negative, and at
-    most span**j; anything else is floating-point debris from the binomial
-    shift and must not feed an inequality.
+    ``F(t) >= 1 - min_j E[(X - low)**j] / (t - low)**j`` and
+    ``F(t) <= min_j E[(high - X)**j] / (high - t)**j``, both sides in one
+    stacked pass (lower rows, then upper rows).  Every step is element-wise
+    or a reduction along a row, so a row's bounds do not depend on the
+    rows stacked with it.
     """
-    j = np.arange(values.shape[1], dtype=float)
-    with np.errstate(over="ignore"):
-        ceiling = span[:, None] ** j * (1.0 + 1e-9)
-    return np.isfinite(values) & (values >= 0.0) & (values <= ceiling)
-
-
-def _markov_lower_rows(mu: np.ndarray, xmins: np.ndarray, t,
-                       spans: np.ndarray) -> np.ndarray:
-    """``F(t) >= 1 - min_j E[(X - xmin)**j] / (t - xmin)**j``, per row."""
-    gaps = t - xmins
-    plus = shifted_moments(mu, xmins)
-    valid = _valid_transform_moments_rows(plus, spans)
-    # gap**j can underflow to zero for tiny gaps at high order; the
-    # resulting inf ratio is simply never the minimum.
+    rows = len(mu)
+    transform = shifted_moments(np.concatenate([mu, mu]),
+                                np.concatenate([lows, highs]))
+    # E[(high - X)**j] = (-1)**j E[(X - high)**j].
+    transform[rows:, 1::2] = -transform[rows:, 1::2]
+    gaps = np.concatenate([points - lows, highs - points])
+    spans = np.concatenate([highs - lows, highs - lows])[:, None]
+    powers = np.arange(transform.shape[1], dtype=float)
+    # A genuine moment of data on [0, span] is finite, non-negative and at
+    # most span**j; anything else is debris from the binomial shift and
+    # must not feed an inequality.  gap**j can underflow to zero for tiny
+    # gaps at high order; the resulting inf ratio is never the minimum.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratios = plus[:, 1:] / gaps[:, None] ** np.arange(
-            1, plus.shape[1], dtype=float)
+        valid = (np.isfinite(transform) & (transform >= 0.0)
+                 & (transform <= spans ** powers * (1.0 + 1e-9)))
+        ratios = transform[:, 1:] / gaps[:, None] ** powers[1:]
     usable = valid[:, 1:] & np.isfinite(ratios)
-    best = np.where(usable, ratios, np.inf).min(axis=1, initial=1.0)
-    return np.where(gaps > 0, 1.0 - np.minimum(best, 1.0), 0.0)
-
-
-def _markov_upper_rows(mu: np.ndarray, xmaxs: np.ndarray, t,
-                       spans: np.ndarray) -> np.ndarray:
-    """``F(t) <= min_j E[(xmax - X)**j] / (xmax - t)**j``, per row."""
-    gaps = xmaxs - t
-    minus = shifted_moments(mu, xmaxs)
-    minus[:, 1::2] = -minus[:, 1::2]
-    valid = _valid_transform_moments_rows(minus, spans)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratios = minus[:, 1:] / gaps[:, None] ** np.arange(
-            1, minus.shape[1], dtype=float)
-    usable = valid[:, 1:] & np.isfinite(ratios)
-    best = np.where(usable, ratios, np.inf).min(axis=1, initial=1.0)
-    return np.where(gaps > 0, np.minimum(best, 1.0), 1.0)
+    best = np.minimum(
+        np.where(usable, ratios, np.inf).min(axis=1, initial=1.0), 1.0)
+    positive = gaps > 0
+    return (np.where(positive[:rows], 1.0 - best[:rows], 0.0),
+            np.where(positive[rows:], best[rows:], 1.0))
 
 
 def _raw_moment_rows(sums: np.ndarray, counts: np.ndarray, order: int
@@ -229,35 +218,29 @@ def markov_bound_batch(moments: ColumnarMoments, t,
         mins = moments.mins[middle]
         maxs = moments.maxs[middle]
         ts_mid = ts[middle]
-        spans = maxs - mins
-        lf = np.zeros(middle.size)
-        uf = np.ones(middle.size)
-        for order in np.unique(k1):
-            members = np.flatnonzero(k1 == order)
-            rows = middle[members]
-            mu = _raw_moment_rows(moments.power_sums[rows], counts[rows],
-                                  int(order))
-            lf[members] = _markov_lower_rows(mu, mins[members],
-                                             ts_mid[members], spans[members])
-            uf[members] = _markov_upper_rows(mu, maxs[members],
-                                             ts_mid[members], spans[members])
+        # Standard rows on [min, max], then log rows on [log min, log max]:
+        # rows of one order share one stacked pass whatever their family.
         log_rows = np.flatnonzero((k2 > 0) & (ts_mid > 0))
-        if log_rows.size:
-            for order in np.unique(k2[log_rows]):
-                members = log_rows[k2[log_rows] == order]
-                rows = middle[members]
-                nu = _raw_moment_rows(moments.log_sums[rows], counts[rows],
-                                      int(order))
-                log_t = np.log(ts_mid[members])
-                log_mins = np.log(mins[members])
-                log_maxs = np.log(maxs[members])
-                log_spans = log_maxs - log_mins
-                lf[members] = np.maximum(
-                    lf[members],
-                    _markov_lower_rows(nu, log_mins, log_t, log_spans))
-                uf[members] = np.minimum(
-                    uf[members],
-                    _markov_upper_rows(nu, log_maxs, log_t, log_spans))
+        sources = np.concatenate([middle, middle[log_rows]])
+        sums = np.concatenate([moments.power_sums[middle],
+                               moments.log_sums[middle[log_rows]]])
+        lows = np.concatenate([mins, np.log(mins[log_rows])])
+        highs = np.concatenate([maxs, np.log(maxs[log_rows])])
+        points = np.concatenate([ts_mid, np.log(ts_mid[log_rows])])
+        orders = np.concatenate([k1, k2[log_rows]])
+        bounds_lo = np.empty(orders.size)
+        bounds_hi = np.empty(orders.size)
+        for order in np.unique(orders).tolist():
+            members = np.flatnonzero(orders == order)
+            mu = _raw_moment_rows(sums[members], counts[sources[members]],
+                                  order)
+            bounds_lo[members], bounds_hi[members] = _markov_rows(
+                mu, lows[members], highs[members], points[members])
+        std_count = middle.size
+        lf = bounds_lo[:std_count]
+        uf = bounds_hi[:std_count]
+        lf[log_rows] = np.maximum(lf[log_rows], bounds_lo[std_count:])
+        uf[log_rows] = np.minimum(uf[log_rows], bounds_hi[std_count:])
         lf = np.clip(lf, 0.0, 1.0)
         uf = np.clip(uf, lf, 1.0)
         lower_frac[middle] = lf

@@ -98,7 +98,11 @@ class QuantileEstimator:
                 k1 = selection.k1
             if k2 is None:
                 k2 = selection.k2
-        basis = build_basis(sketch, k1, k2, config, domain=domain)
+        if (selection is not None and domain is None
+                and (k1, k2) == (selection.k1, selection.k2)):
+            basis = selection.basis
+        else:
+            basis = build_basis(sketch, k1, k2, config, domain=domain)
         try:
             result = solve(basis, config)
         except ConvergenceError as error:

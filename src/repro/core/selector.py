@@ -14,18 +14,35 @@ Appendix B:
   order given the data's center offset, and
 * an empirical prefix check that discards scaled moments whose magnitude
   escaped [-1, 1] (a sure sign of catastrophic cancellation).
+
+The search measures only the condition numbers it cannot know: a
+candidate of the constant and its domain's native family (standard in
+the linear domain, log in the log domain) has one Gram matrix for every
+sketch, so its condition comes from a table; the rest are measured by
+``eigvalsh``, and by the SVD near the budget.  The selection carries its
+basis, so a fit builds its basis once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chebyshev import chebyshev_nodes, clenshaw_curtis_weights
 from .moments import (max_stable_orders, scaled_moment_rows,
                       stable_orders_rows, uniform_chebyshev_moments)
 from .sketch import MomentsSketch
-from .solver import SolverConfig, build_bases_batch
+from .solver import (MaxEntBasis, SolverConfig, _assemble_bases,
+                     _chebyshev_rows_into, build_bases_batch)
+
+#: Relative distance from the budget within which a table or ``eigvalsh``
+#: condition is measured again with the SVD.  On these Gram matrices the
+#: two differ by at most ~4e-15 * kappa relative, so every accept/reject
+#: decision is the SVD's for budgets up to 1e9.
+_RECHECK_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -37,6 +54,8 @@ class MomentSelection:
     condition: float
     max_stable_k1: int
     max_stable_k2: int
+    #: The solver basis at ``(k1, k2)``.
+    basis: MaxEntBasis = field(compare=False, repr=False)
 
 
 def stable_moment_counts(sketch: MomentsSketch) -> tuple[int, int]:
@@ -122,20 +141,22 @@ def select_moments_batch(sketches, config: SolverConfig | None = None,
     Every candidate sub-Hessian is a principal submatrix of its problem's
     full uniform Gram matrix (``H_sub = Gram[rows, rows]``).  The Gram
     matrices are computed with one stacked matmul per basis shape and laid
-    out on a shared row layout (constant, standard orders, log orders), so
-    each round gathers every still-growing problem's candidates with one
-    index and evaluates their condition numbers with one stacked SVD
-    (all problems grow by one moment per round, so a round's candidates
-    share one size).  numpy runs the stacked SVD slice by slice with the
-    same LAPACK routine, so a problem's selection does not depend on its
-    batch-mates.
+    out on a shared row layout (constant, standard orders, log orders).
+    Each round measures only the conditions it cannot know
+    (:func:`_candidate_conditions`): native-only candidates read a table,
+    and the rest (all problems grow by one moment per round, so a round's
+    candidates share one size) are gathered with one index and measured
+    with one stacked ``eigvalsh``, or the SVD near the budget.  numpy runs
+    stacked LAPACK calls slice by slice with the same routine, so a
+    problem's selection does not depend on its batch-mates.
 
     A family (standard or log) whose candidate breaks the budget is
     dropped for the rest of the search.  This is exact: every later
     candidate of the family contains that sub-Hessian as a principal
     submatrix, so by Cauchy interlacing its condition number is no
     smaller.  The per-problem decisions are plain Python on a few floats;
-    the matrix work is stacked.
+    the matrix work is stacked.  Each selection carries its basis, whose
+    matrix rows come from the search's cap-order basis.
     """
     config = config or SolverConfig()
     sketches = list(sketches)
@@ -148,6 +169,11 @@ def select_moments_batch(sketches, config: SolverConfig | None = None,
     wide1 = max(cap[0] for cap in caps)
     gram, distance = _search_tables(fulls, wide1, max(cap[1] for cap in caps))
     distance = distance.tolist()
+    # The family whose basis rows are T_j(nodes) in the problem's domain.
+    native = [b.domain == "log" for b in fulls]
+
+    def conditions(candidates: list) -> list:
+        return _candidate_conditions(gram, candidates, native, wide1, config)
 
     # Family f of a problem: 0 standard, 1 log.
     budget = config.max_condition_number
@@ -160,12 +186,10 @@ def select_moments_batch(sketches, config: SolverConfig | None = None,
                  if open_[i][f] and k[i][f] < caps[i][f]]
         if not tried:
             break
-        counts = np.array([[k[i][0] + (f == 0) for i, f in tried],
-                           [k[i][1] + (f == 1) for i, f in tried]])
-        conds = _sub_conditions(gram, np.array([i for i, _ in tried]),
-                                counts, wide1)
+        conds = conditions([(i, k[i][0] + (f == 0), k[i][1] + (f == 1))
+                            for i, f in tried])
         feasible: dict[int, dict[int, float]] = {}
-        for (i, f), value in zip(tried, conds.tolist()):
+        for (i, f), value in zip(tried, conds):
             if value >= budget:
                 open_[i][f] = False
             else:
@@ -183,14 +207,14 @@ def select_moments_batch(sketches, config: SolverConfig | None = None,
     empty = [i for i, pair in enumerate(k) if pair == [0, 0]]
     if empty:
         # Nothing fit the budget; fall back to the first standard moment.
-        ones = np.ones(len(empty), dtype=int)
-        fallback = _sub_conditions(gram, np.array(empty),
-                                   np.stack([ones, 0 * ones]), wide1)
-        for i, value in zip(empty, fallback.tolist()):
+        for i, value in zip(empty, conditions([(i, 1, 0) for i in empty])):
             k[i], cond[i] = [1, 0], value
+    bases = _assemble_bases(sketches, [pair[0] for pair in k],
+                            [pair[1] for pair in k], config, parents=fulls)
     return [MomentSelection(k1=pair[0], k2=pair[1], condition=value,
-                            max_stable_k1=cap[0], max_stable_k2=cap[1])
-            for pair, value, cap in zip(k, cond, caps)]
+                            max_stable_k1=cap[0], max_stable_k2=cap[1],
+                            basis=basis)
+            for pair, value, cap, basis in zip(k, cond, caps, bases)]
 
 
 def _search_tables(fulls: list, wide1: int, wide2: int
@@ -232,30 +256,73 @@ def _search_tables(fulls: list, wide1: int, wide2: int
     return gram, distance
 
 
-def _sub_conditions(gram: np.ndarray, owners: np.ndarray,
-                    counts: np.ndarray, wide1: int) -> np.ndarray:
-    """Condition numbers of ``gram[owner]`` restricted to each (k1, k2).
+def _candidate_conditions(gram: np.ndarray, candidates: list, native: list,
+                          wide1: int, config: SolverConfig) -> list:
+    """Conditions of candidate sub-Grams ``(owner, k1, k2)`` of one size.
 
-    ``counts`` is ``(2, c)``: the candidates' k1 and k2.  All candidates
-    share one size ``1 + k1 + k2``; the sub-matrices are gathered with one
-    index and measured with one stacked SVD.
+    Native-only candidates read :func:`_native_conditions`, the others
+    take one stacked ``eigvalsh`` (the Gram matrices are symmetric PSD),
+    and a value that is not finite and positive, or lies within
+    :data:`_RECHECK_MARGIN` of the budget, is measured again by the SVD.
     """
-    k1 = counts[0][:, None]
-    position = np.arange(1 + counts[:, 0].sum())[None, :]
-    layout = np.where(position <= k1, position, wide1 + position - k1)
-    return _conditions(gram[owners[:, None, None], layout[:, :, None],
-                            layout[:, None, :]])
+    table = _native_conditions(config.grid_size)
+    budget = config.max_condition_number
+    values = [math.nan if (k1, k2)[not native[i]] else table[k1 + k2]
+              for i, k1, k2 in candidates]
+
+    def measure(kernel, positions: list) -> None:
+        if positions:
+            found = _conditions(_sub_grams(
+                gram, [candidates[p] for p in positions], wide1), kernel)
+            for position, value in zip(positions, found.tolist()):
+                values[position] = value
+
+    measure(np.linalg.eigvalsh,
+            [p for p, value in enumerate(values) if math.isnan(value)])
+    measure(np.linalg.svdvals,
+            [p for p, value in enumerate(values)
+             if not 0.0 < value < math.inf
+             or abs(value - budget) <= _RECHECK_MARGIN * budget])
+    return values
 
 
-def _conditions(stack: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack of Gram matrices, one SVD call."""
+@functools.lru_cache(maxsize=8)
+def _native_conditions(grid_size: int) -> tuple:
+    """Condition of each native-only candidate, by its native order c.
+
+    The native family's basis rows are ``T_j(nodes)`` for every sketch
+    (standard in the linear domain, log in the log domain), so the uniform
+    Gram of the constant and native orders ``1..c`` is one matrix per
+    grid size.  Orders stop at 16, the Appendix-B cap.
+    """
+    nodes = chebyshev_nodes(grid_size)
+    rows = np.ones((1, 17, nodes.size))
+    _chebyshev_rows_into(rows, nodes[None, :], offset=0, orders=16)
+    gram = np.matmul(rows * (0.5 * clenshaw_curtis_weights(grid_size)),
+                     np.swapaxes(rows, 1, 2))
+    return tuple(float(_conditions(gram[:, :c + 1, :c + 1])[0])
+                 for c in range(17))
+
+
+def _sub_grams(gram: np.ndarray, candidates: list, wide1: int) -> np.ndarray:
+    """``gram[owner]`` restricted to each ``(owner, k1, k2)``, one gather."""
+    owners, k1, k2 = np.array(candidates).T
+    position = np.arange(1 + k1[0] + k2[0])[None, :]
+    layout = np.where(position <= k1[:, None], position,
+                      wide1 + position - k1[:, None])
+    return gram[owners[:, None, None], layout[:, :, None], layout[:, None, :]]
+
+
+def _conditions(stack: np.ndarray, measure=np.linalg.svdvals) -> np.ndarray:
+    """2-norm condition numbers of a stack of Gram matrices, one call.
+
+    ``measure`` is the SVD or, for symmetric matrices, ``eigvalsh``.  Only
+    a singular matrix divides by zero: condition number inf, as
+    ``np.linalg.cond`` reports; an indefinite one reads non-positive.
+    """
     try:
-        singular = np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError:  # pragma: no cover - gesdd rarely fails
+        values = measure(stack)
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK rarely fails
         return np.full(len(stack), np.inf)
-    # Gram matrices are finite with H_00 = 1, so only a singular one
-    # divides by zero: condition number inf, as np.linalg.cond reports.
-    with np.errstate(divide="ignore"):
-        return singular[:, 0] / singular[:, -1]
-
-
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return values.max(axis=1) / values.min(axis=1)

@@ -573,7 +573,7 @@ class PackedSketchStore:
         """Solver-ready bases for a group-by, one batched build.
 
         Merges ``rows`` by ``keys`` (:meth:`batch_merge_by`) and runs
-        batched moment selection + basis construction for every group
+        batched moment selection, which builds the bases, for every group
         aggregate, returning ``{key: (sketch, MaxEntBasis)}`` in
         first-seen key order — the hand-off
         :func:`repro.core.batch_solver.solve_batch` consumes.  Groups
@@ -581,7 +581,6 @@ class PackedSketchStore:
         None)``; they need no solve.
         """
         from ..core.selector import select_moments_batch
-        from ..core.solver import build_bases_batch
 
         merged = self.batch_merge_by(rows, keys)
         solvable = {key: sketch for key, sketch in merged.items()
@@ -589,12 +588,9 @@ class PackedSketchStore:
         out: dict = {key: (sketch, None) for key, sketch in merged.items()}
         if solvable:
             sketches = list(solvable.values())
-            selections = select_moments_batch(sketches, config)
-            bases = build_bases_batch(sketches,
-                                      [sel.k1 for sel in selections],
-                                      [sel.k2 for sel in selections], config)
-            for key, sketch, basis in zip(solvable, sketches, bases):
-                out[key] = (sketch, basis)
+            for key, sketch, selection in zip(
+                    solvable, sketches, select_moments_batch(sketches, config)):
+                out[key] = (sketch, selection.basis)
         return out
 
     # ------------------------------------------------------------------

@@ -420,3 +420,80 @@ class TestMarkovHandOff:
         monkeypatch.undo()
         assert outcomes == ThresholdCascade().evaluate_batch(
             self.SKETCHES, 2.0, 0.5)
+
+
+def _reference_markov_side(mu, shifts, points, spans, upper):
+    """One family's lower or upper Markov fractions, one pass per side."""
+    from repro.core.moments import shifted_moments
+    gaps = shifts - points if upper else points - shifts
+    moments = shifted_moments(mu, shifts)
+    if upper:
+        moments[:, 1::2] = -moments[:, 1::2]
+    powers = np.arange(moments.shape[1], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ceiling = spans[:, None] ** powers * (1.0 + 1e-9)
+        ratios = moments[:, 1:] / gaps[:, None] ** powers[1:]
+    valid = np.isfinite(moments) & (moments >= 0.0) & (moments <= ceiling)
+    usable = valid[:, 1:] & np.isfinite(ratios)
+    best = np.where(usable, ratios, np.inf).min(axis=1, initial=1.0)
+    if upper:
+        return np.where(gaps > 0, np.minimum(best, 1.0), 1.0)
+    return np.where(gaps > 0, 1.0 - np.minimum(best, 1.0), 0.0)
+
+
+def _reference_markov(block, ts, max_order=None):
+    """``markov_bound_batch`` with each family and side in its own pass."""
+    from repro.core.bounds import _cheap_order_caps_rows, _raw_moment_rows
+    counts = block.counts
+    below, above = ts <= block.mins, ts > block.maxs
+    lower_frac, upper_frac = np.zeros(len(block)), np.ones(len(block))
+    middle = np.flatnonzero(~below & ~above)
+    k1, k2 = _cheap_order_caps_rows(block, middle)
+    if max_order is not None:
+        k1, k2 = np.minimum(k1, max_order), np.minimum(k2, max_order)
+    k1 = np.maximum(k1, 1)
+    mins, maxs, t = block.mins[middle], block.maxs[middle], ts[middle]
+    lf, uf = np.zeros(middle.size), np.ones(middle.size)
+    for order in np.unique(k1):
+        members = np.flatnonzero(k1 == order)
+        rows = middle[members]
+        mu = _raw_moment_rows(block.power_sums[rows], counts[rows], int(order))
+        spans = maxs[members] - mins[members]
+        lf[members] = _reference_markov_side(mu, mins[members], t[members],
+                                             spans, upper=False)
+        uf[members] = _reference_markov_side(mu, maxs[members], t[members],
+                                             spans, upper=True)
+    log_rows = np.flatnonzero((k2 > 0) & (t > 0))
+    for order in np.unique(k2[log_rows]):
+        members = log_rows[k2[log_rows] == order]
+        rows = middle[members]
+        nu = _raw_moment_rows(block.log_sums[rows], counts[rows], int(order))
+        lo, hi = np.log(mins[members]), np.log(maxs[members])
+        log_t = np.log(t[members])
+        lf[members] = np.maximum(lf[members], _reference_markov_side(
+            nu, lo, log_t, hi - lo, upper=False))
+        uf[members] = np.minimum(uf[members], _reference_markov_side(
+            nu, hi, log_t, hi - lo, upper=True))
+    lf = np.clip(lf, 0.0, 1.0)
+    lower_frac[middle], upper_frac[middle] = lf, np.clip(uf, lf, 1.0)
+    return (np.where(below, 0.0, np.where(above, counts, lower_frac * counts)),
+            np.where(below, 0.0, np.where(above, counts, upper_frac * counts)))
+
+
+class TestStackedMarkov:
+    """Both families and both sides of one order share one stacked pass,
+    bit-identical to a pass per family and side."""
+
+    @pytest.mark.parametrize("k", [6, 10, 16])
+    def test_matches_per_family_reference(self, k):
+        from repro.core.bounds import markov_bound_batch
+        from repro.core.sketch import ColumnarMoments
+        corpus = _corpus(k)
+        block = ColumnarMoments.from_sketches([s for _, s in corpus])
+        rng = np.random.default_rng(k)
+        for name, ts in _threshold_sets(corpus, rng).items():
+            for max_order in (None, 2, 5):
+                got = markov_bound_batch(block, ts, max_order=max_order)
+                lower, upper = _reference_markov(block, ts, max_order)
+                assert _same_bits(got.lower, lower), (k, name, max_order)
+                assert _same_bits(got.upper, upper), (k, name, max_order)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import MomentsSketch, SolverConfig
+from repro.core import selector
 from repro.core.moments import uniform_chebyshev_moments
 from repro.core.selector import (select_moments, select_moments_batch,
                                  stable_moment_counts)
-from repro.core.solver import build_basis, condition_number, uniform_hessian
+from repro.core.solver import build_basis
+from svd_reference import condition_number, uniform_hessian
 
 
 class TestStableCounts:
@@ -144,3 +146,119 @@ class TestPrunedLockstepSearch:
         batched = select_moments_batch(sketches)
         assert batched == [select_moments(s) for s in sketches]
         assert select_moments_batch(sketches[::-1]) == batched[::-1]
+
+
+def domain_sketches(seed):
+    """Log-domain, linear-domain and no-log sketches at k = 6..16."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in (6, 8, 10, 12, 14, 16):
+        out.append(MomentsSketch.from_data(rng.lognormal(1, 1.5, 2000), k=k))
+        out.append(MomentsSketch.from_data(rng.uniform(10, 20, 2000), k=k))
+        out.append(MomentsSketch.from_data(rng.normal(0, 1, 2000), k=k))
+    return out
+
+
+def svd_only(monkeypatch):
+    """Make the search measure every candidate with the stacked SVD."""
+    monkeypatch.setattr(selector, "_RECHECK_MARGIN", np.inf)
+
+
+class TestConditionKernel:
+    @pytest.mark.parametrize("budget", [30.0, 100.0, 1e4])
+    def test_matches_svd_reference(self, budget):
+        config = SolverConfig(max_condition_number=budget)
+        sketches = domain_sketches(seed=21)
+        selections = select_moments_batch(sketches, config)
+        domains = {(s.basis.domain, s.max_stable_k2 > 0) for s in selections}
+        assert {("log", True), ("linear", True), ("linear", False)} <= domains
+        for sketch, selection in zip(sketches, selections):
+            k1, k2, cond, max_k1, max_k2 = unpruned_selection(sketch, config)
+            assert (selection.k1, selection.k2) == (k1, k2)
+            assert (selection.max_stable_k1, selection.max_stable_k2) \
+                == (max_k1, max_k2)
+            assert selection.condition == pytest.approx(cond, rel=1e-9)
+            assert select_moments(sketch, config) == selection
+
+    def test_budget_at_a_measured_condition(self, monkeypatch):
+        # Each budget equals the SVD condition of a candidate the search
+        # measures, so the fast estimate sits on the budget and only the
+        # SVD re-check decides the candidate the way the SVD does.
+        sketches = domain_sketches(seed=22)
+        cases = []
+        with monkeypatch.context() as patch:
+            svd_only(patch)
+            for sketch in sketches:
+                chosen = select_moments(sketch)
+                config = SolverConfig(max_condition_number=chosen.condition)
+                cases.append((sketch, config, select_moments(sketch, config),
+                              chosen))
+        below = 0
+        for sketch, config, expected, chosen in cases:
+            selection = select_moments(sketch, config)
+            assert (selection.k1, selection.k2) == (expected.k1, expected.k2)
+            assert (selection.k1, selection.k2) != (chosen.k1, chosen.k2)
+            assert selection.condition == pytest.approx(expected.condition,
+                                                        rel=1e-9)
+            full = build_basis(sketch, max(chosen.max_stable_k1, 1),
+                               chosen.max_stable_k2)
+            rows = np.r_[0:chosen.k1 + 1,
+                         full.k1 + 1:full.k1 + 1 + chosen.k2]
+            gram = uniform_hessian(full, rows)
+            eigen = np.linalg.eigvalsh(gram)
+            below += bool(eigen[-1] / eigen[0] < chosen.condition)
+        # Without the re-check some of these candidates would be accepted.
+        assert below > 0
+
+    def test_non_positive_estimate_is_measured_again(self):
+        # eigvalsh reads an indefinite matrix as a negative condition; the
+        # SVD measures it.  (1, 0) in the log domain is not native-only.
+        gram = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        values = selector._candidate_conditions(
+            gram, [(0, 1, 0)], [True], 1, SolverConfig())
+        assert values == [pytest.approx(3.0, rel=1e-12)]
+
+    @pytest.mark.parametrize("grid_size", [64, 128])
+    def test_native_table_matches_sub_gram_conditions(self, grid_size):
+        config = SolverConfig(grid_size=grid_size)
+        rng = np.random.default_rng(23)
+        linear = build_basis(MomentsSketch.from_data(
+            rng.uniform(10, 20, 2000), k=16), 16, 0, config)
+        log = build_basis(MomentsSketch.from_data(
+            rng.lognormal(1, 1.5, 2000), k=16), 2, 16, config)
+        assert (linear.domain, log.domain) == ("linear", "log")
+        table = selector._native_conditions(grid_size)
+        assert len(table) == 17
+        for c in range(1, 17):
+            for basis, rows in ((linear, np.arange(c + 1)),
+                                (log, np.r_[0, 3:3 + c])):
+                reference = condition_number(uniform_hessian(basis, rows))
+                assert table[c] == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [2.0, 30.0, 1e4])
+    def test_selection_basis_equals_build_basis(self, budget):
+        config = SolverConfig(max_condition_number=budget)
+        sketches = domain_sketches(seed=24) + random_sketches(60, seed=24)
+        mismatched = 0
+        for selections in (select_moments_batch(sketches, config),
+                           [select_moments(s, config) for s in sketches]):
+            for sketch, selection in zip(sketches, selections):
+                basis = selection.basis
+                expected = build_basis(sketch, selection.k1, selection.k2,
+                                       config)
+                assert (basis.k1, basis.k2, basis.domain) \
+                    == (expected.k1, expected.k2, expected.domain)
+                for name in ("matrix", "targets", "std_moments",
+                             "log_moments"):
+                    assert getattr(basis, name).tobytes() \
+                        == getattr(expected, name).tobytes(), name
+                owner = basis.matrix if basis.matrix.base is None \
+                    else basis.matrix.base
+                assert owner.shape[-2] == 1 + basis.k1 + basis.k2
+                cap = build_basis(sketch, max(selection.max_stable_k1, 1),
+                                  selection.max_stable_k2, config)
+                mismatched += cap.domain != basis.domain
+        if budget == 2.0:
+            # Nothing fits, so log-domain caps fall back to (1, 0) in the
+            # linear domain, which the cap basis cannot supply.
+            assert mismatched > 0

@@ -16,10 +16,9 @@ from repro.core.solver import (
     _solve_newton_step,
     build_basis,
     choose_domain,
-    condition_number,
     solve,
-    uniform_hessian,
 )
+from svd_reference import condition_number, uniform_hessian
 
 
 @pytest.fixture(scope="module")
