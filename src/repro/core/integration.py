@@ -1,7 +1,7 @@
 """Closed-form Chebyshev-product integration (Appendix A.2).
 
 The default solver evaluates its integrals with Clenshaw-Curtis quadrature
-on a fixed grid (see :mod:`repro.core.solver`).  This module implements the paper's
+on a fixed grid (see :mod:`.solver`).  This module implements the paper's
 integration scheme *literally*: approximate the density (and any
 non-polynomial basis function) by a degree-``nc`` Chebyshev expansion via
 the fast cosine transform, then evaluate every gradient/Hessian integral in
@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.chebyshev import (
+from .chebyshev import (
     chebyshev_nodes,
     interpolation_coefficients,
     multiply_series,
 )
-from repro.core.errors import ConvergenceError
-from repro.core.solver import (MaxEntBasis, MaxEntResult, SolverConfig,
-                               _basis_matrix_on)
+from .errors import ConvergenceError
+from .solver import MaxEntBasis, MaxEntResult, SolverConfig, _basis_matrix_on
 
 #: Default expansion degree for the density and non-polynomial factors.
 DEFAULT_EXPANSION_DEGREE = 256

@@ -20,7 +20,7 @@ candidate of the constant and its domain's native family (standard in
 the linear domain, log in the log domain) has one Gram matrix for every
 sketch, so its condition comes from a table; the rest are measured by
 ``eigvalsh``, and by the SVD near the budget.  The selection carries its
-basis, so a fit builds its basis once.
+basis, so the fit that follows builds none.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from .chebyshev import chebyshev_nodes, clenshaw_curtis_weights
 from .moments import (max_stable_orders, scaled_moment_rows,
                       stable_orders_rows, uniform_chebyshev_moments)
 from .sketch import MomentsSketch
-from .solver import (MaxEntBasis, SolverConfig, _assemble_bases,
-                     _chebyshev_rows_into, build_bases_batch)
+from .solver import (MaxEntBasis, SolverConfig, _chebyshev_rows_into,
+                     build_bases_batch)
 
 #: Relative distance from the budget within which a table or ``eigvalsh``
 #: condition is measured again with the SVD.  On these Gram matrices the
-#: two differ by at most ~4e-15 * kappa relative, so every accept/reject
-#: decision is the SVD's for budgets up to 1e9.
+#: two differ by at most ~4e-15 * kappa relative (~18 ulps of kappa), so
+#: above budgets of ~7e9 the margin widens to 64 ulps of the budget, and
+#: every accept/reject decision is the SVD's.
 _RECHECK_MARGIN = 1e-4
 
 
@@ -155,8 +156,8 @@ def select_moments_batch(sketches, config: SolverConfig | None = None,
     candidate of the family contains that sub-Hessian as a principal
     submatrix, so by Cauchy interlacing its condition number is no
     smaller.  The per-problem decisions are plain Python on a few floats;
-    the matrix work is stacked.  Each selection carries its basis, whose
-    matrix rows come from the search's cap-order basis.
+    the matrix work is stacked.  Each selection carries its basis, built
+    by :func:`build_bases_batch` at the selected orders.
     """
     config = config or SolverConfig()
     sketches = list(sketches)
@@ -209,8 +210,8 @@ def select_moments_batch(sketches, config: SolverConfig | None = None,
         # Nothing fit the budget; fall back to the first standard moment.
         for i, value in zip(empty, conditions([(i, 1, 0) for i in empty])):
             k[i], cond[i] = [1, 0], value
-    bases = _assemble_bases(sketches, [pair[0] for pair in k],
-                            [pair[1] for pair in k], config, parents=fulls)
+    bases = build_bases_batch(sketches, [pair[0] for pair in k],
+                              [pair[1] for pair in k], config)
     return [MomentSelection(k1=pair[0], k2=pair[1], condition=value,
                             max_stable_k1=cap[0], max_stable_k2=cap[1],
                             basis=basis)
@@ -263,10 +264,12 @@ def _candidate_conditions(gram: np.ndarray, candidates: list, native: list,
     Native-only candidates read :func:`_native_conditions`, the others
     take one stacked ``eigvalsh`` (the Gram matrices are symmetric PSD),
     and a value that is not finite and positive, or lies within
-    :data:`_RECHECK_MARGIN` of the budget, is measured again by the SVD.
+    :data:`_RECHECK_MARGIN` (or 64 ulps) of the budget, is measured again
+    by the SVD.
     """
     table = _native_conditions(config.grid_size)
     budget = config.max_condition_number
+    margin = budget * max(_RECHECK_MARGIN, 64 * np.finfo(float).eps * budget)
     values = [math.nan if (k1, k2)[not native[i]] else table[k1 + k2]
               for i, k1, k2 in candidates]
 
@@ -282,7 +285,7 @@ def _candidate_conditions(gram: np.ndarray, candidates: list, native: list,
     measure(np.linalg.svdvals,
             [p for p, value in enumerate(values)
              if not 0.0 < value < math.inf
-             or abs(value - budget) <= _RECHECK_MARGIN * budget])
+             or abs(value - budget) <= margin])
     return values
 
 

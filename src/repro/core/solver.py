@@ -185,23 +185,7 @@ def build_bases_batch(sketches, k1s, k2s, config: SolverConfig | None = None,
     once per distinct ``(k1, k2, domain)`` shape, each over stacked rows,
     so a basis does not depend on its batch-mates.
     """
-    return _assemble_bases(sketches, k1s, k2s, config or SolverConfig(),
-                           domain)
-
-
-def _assemble_bases(sketches, k1s, k2s, config: SolverConfig,
-                    domain: str | None = None,
-                    parents: list | None = None) -> list[MaxEntBasis]:
-    """:func:`build_bases_batch`, optionally cut from wider bases.
-
-    ``parents[i]`` is a basis of sketch ``i`` at orders no lower than
-    ``(k1s[i], k2s[i])``.  In the parent's domain the matrix is its
-    constant, first ``k1`` standard and first ``k2`` log rows (the same
-    element-wise recurrences, so bit-equal), and a family at the parent's
-    order takes its moments; a shorter family is converted at its own
-    order, because a prefix of a longer conversion can differ in its
-    last bits.
-    """
+    config = config or SolverConfig()
     sketches = list(sketches)
     nodes = chebyshev_nodes(config.grid_size)
     weights = clenshaw_curtis_weights(config.grid_size)
@@ -225,26 +209,14 @@ def _assemble_bases(sketches, k1s, k2s, config: SolverConfig,
         chosen = domain or choose_domain(sketch, k2)
         if chosen == "log" and log_support is None:
             raise SketchError("log-domain integration requires positive data")
-        basis = MaxEntBasis(
+        bases.append(MaxEntBasis(
             k1=k1, k2=k2, domain=chosen, support=support,
             log_support=log_support, nodes=nodes, weights=weights,
-            matrix=np.zeros((0, 0)), targets=np.zeros(0))
-        bases.append(basis)
-        parent = parents[index] if parents is not None else None
-        if parent is not None and parent.domain == chosen:
-            basis.matrix = np.concatenate(
-                [parent.matrix[:k1 + 1],
-                 parent.matrix[parent.k1 + 1:parent.k1 + 1 + k2]])
-        else:
-            shapes.setdefault((k1, k2, chosen), []).append(index)
-        if parent is not None and parent.k1 == k1:
-            basis.std_moments = parent.std_moments
-        elif k1 > 0:
-            moment_rows.setdefault((0, k1), []).append(index)
-        if parent is not None and parent.k2 == k2:
-            basis.log_moments = parent.log_moments
-        elif k2 > 0:
-            moment_rows.setdefault((1, k2), []).append(index)
+            matrix=np.zeros((0, 0)), targets=np.zeros(0)))
+        shapes.setdefault((k1, k2, chosen), []).append(index)
+        for family, order in ((0, k1), (1, k2)):
+            if order > 0:
+                moment_rows.setdefault((family, order), []).append(index)
     # Target Chebyshev moments (domain independent: expectations over x).
     for (family, order), members in moment_rows.items():
         supports = [bases[i].log_support if family else bases[i].support

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import MomentsSketch, SolverConfig
 from repro.core.errors import ConvergenceError
-from product_integration import (
+from repro.core.integration import (
     ChebyshevProductIntegrator,
     _mode_integrals,
     _product_integral_matrix,
