@@ -76,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: smaller data, fewer clusters")
     parser.add_argument("--rows", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=8,
-                        help="broker fan-out threads")
     parser.add_argument("--require-scaling", action="store_true",
                         help="fail unless broker merge+solve stays sublinear "
                              "in node count")
@@ -112,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     single = QueryService(druid=reference).execute(spec)
 
     print(f"{rows} rows, {rows // cell_size} cells, {num_shards} shards, "
-          f"replication {replication}, broker threads {args.threads}")
+          f"replication {replication}")
     header = (f"{'nodes':>6} {'route_ms':>9} {'scatter_ms':>11} "
               f"{'merge_ms':>9} {'solve_ms':>9} {'total_ms':>9} "
               f"{'partial_B':>10}")
@@ -126,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     for num_nodes in node_counts:
         cluster = build_cluster(num_nodes, num_shards, replication,
                                 timestamps, cells, values)
-        backend = as_backend(cluster, threads=args.threads)
+        backend = as_backend(cluster)
         service = QueryService(cluster=backend)
         response, _ = run_query(service, "cluster", spec, repeats)
         profile = backend.last_profile

@@ -65,7 +65,7 @@ class AnalysisConfig:
 #: immutable after ``__init__`` and deliberately unguarded.
 DEFAULT_GUARDED_BY: Dict[str, Dict[str, LockSpec]] = {
     "repro/cluster/broker.py": {
-        "ClusterBroker": _lock("_pool", "queries_served", "last_profile"),
+        "ClusterBroker": _lock("queries_served", "last_profile"),
     },
     "repro/storage/compactor.py": {
         "Compactor": _lock("rounds", "_thread"),

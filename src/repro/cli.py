@@ -440,7 +440,7 @@ def cmd_cluster_demo(args: argparse.Namespace) -> dict:
                             granularity=1.0)
     reference.ingest(timestamps, [cells], values)
 
-    backend = as_backend(cluster, threads=args.threads)
+    backend = as_backend(cluster)
     service = QueryService(cluster=backend, druid=reference)
     spec = QuerySpec(kind="quantile", quantiles=tuple(qs),
                      report_moments=True)
@@ -632,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--rows", type=int, default=50_000)
     demo.add_argument("--cells", type=int, default=200,
                       help="distinct dimension values (cluster cells)")
-    demo.add_argument("--threads", type=int, default=4,
-                      help="broker fan-out threads")
     demo.add_argument("--q", type=float, nargs="+", default=None,
                       help="target quantile fractions (default 0.5 0.99)")
     demo.add_argument("--kill", default=None,

@@ -13,7 +13,7 @@ full four-phase profile stays available on
 ``QueryService.execute_batch`` shares cluster scans exactly like any
 other backend: specs with equal scan signatures reuse one scatter-gather
 round's merged partials, so N quantile specs over the same filter cost
-one fan-out and one solve.
+one scatter-gather round and one solve.
 
 Grouped kinds hand the gathered per-shard partials straight to the
 service's batched estimation layer: every group's merged sketch joins
@@ -30,7 +30,7 @@ from ..api.spec import QuerySpec
 from ..core.errors import QueryError
 from ..druid.aggregators import MomentsSketchAggregator
 from ..optimizer.epochs import EPOCHS
-from .broker import DEFAULT_THREADS, ClusterBroker, ScatterProfile
+from .broker import ClusterBroker, ScatterProfile
 from .coordinator import ClusterCoordinator
 
 
@@ -44,14 +44,9 @@ class ClusterBackend(Backend):
 
     name = "cluster"
 
-    def __init__(self, cluster: ClusterCoordinator | ClusterBroker,
-                 threads: int | None = None):
-        if isinstance(cluster, ClusterBroker):
-            self.broker = cluster
-        else:
-            self.broker = ClusterBroker(
-                cluster,
-                threads=threads if threads is not None else DEFAULT_THREADS)
+    def __init__(self, cluster: ClusterCoordinator | ClusterBroker):
+        self.broker = (cluster if isinstance(cluster, ClusterBroker)
+                       else ClusterBroker(cluster))
         self.coordinator = self.broker.coordinator
 
     def cache_target(self):
@@ -106,12 +101,10 @@ class ClusterBackend(Backend):
 
     def rollup(self, spec: QuerySpec) -> RollupResult:
         aggregator = self._aggregator(spec)
-        merged = self.broker.scatter_rollup(aggregator, spec.filters_dict(),
-                                            spec.interval)
+        merged, profile = self.broker.scatter_rollup(
+            aggregator, spec.filters_dict(), spec.interval)
         if merged is None:
             raise QueryError("query matched no cells")
-        profile = self.broker.last_profile
-        assert profile is not None
         return RollupResult(
             summary=_state_summary(merged),
             cells_scanned=profile.cells_scanned,
@@ -128,10 +121,8 @@ class ClusterBackend(Backend):
                 "the cluster backend does not support intervals on grouped "
                 "queries; drop the interval")
         aggregator = self._aggregator(spec)
-        groups = self.broker.scatter_group(aggregator, spec.group_dimension,
-                                           spec.filters_dict())
-        profile = self.broker.last_profile
-        assert profile is not None
+        groups, profile = self.broker.scatter_group(
+            aggregator, spec.group_dimension, spec.filters_dict())
         return GroupRollupResult(
             groups={value: _state_summary(state)
                     for value, state in groups.items()},

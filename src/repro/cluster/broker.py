@@ -7,9 +7,11 @@ coordinator: given an aggregation query it
    choice rotates deterministically across a shard's live owners, so
    replicas share read load; point queries whose filters pin every
    dimension route to the single owning shard);
-2. **scatters** — fans the per-node work out on a thread pool; each node
-   reduces its shards with vectorized packed merges (numpy releases the
-   GIL, so nodes genuinely overlap);
+2. **scatters** — calls each assigned node in turn, in node-id order and
+   in the caller's thread; each node reduces its shards with vectorized
+   packed merges.  A node's share is a few small numpy reductions per
+   shard, so a thread-pool hand-off cost more than it overlapped at
+   every node count measured (1-16 nodes, 64 shards);
 3. **gathers** — combines the per-shard partial sketches (~200 bytes
    each at the paper's ``k = 10``) in ascending shard order with a strict
    left fold;
@@ -31,19 +33,17 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ..core.errors import ClusterError
 from ..druid.aggregators import AggregatorState
 from ..telemetry import TELEMETRY
 from .coordinator import ClusterCoordinator
-from .node import ShardPartial, _state_size
+from .node import DataNode, ShardPartial
 
-#: Default broker fan-out threads (one per simulated connection).
-DEFAULT_THREADS = 4
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,13 @@ class ScatterProfile:
 class ClusterBroker:
     """Scatter-gather query executor over a :class:`ClusterCoordinator`."""
 
-    def __init__(self, coordinator: ClusterCoordinator,
-                 threads: int = DEFAULT_THREADS):
+    def __init__(self, coordinator: ClusterCoordinator):
         self.coordinator = coordinator
-        self.threads = max(int(threads), 1)
-        #: Guards _pool, queries_served, last_profile: brokers are shared
-        #: by concurrent callers (each scatter already fans out threads).
+        #: Guards queries_served and last_profile: brokers are shared by
+        #: concurrent callers.
         self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
+        #: Profile of the most recent scatter round, for inspection; each
+        #: scatter also returns its own profile.
         self.last_profile: ScatterProfile | None = None
         #: Scatter rounds served (tests use this to assert scan sharing).
         self.queries_served = 0
@@ -123,27 +122,12 @@ class ClusterBroker:
                                            node=node_id).inc(count)
         return assignments
 
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.threads,
-                    thread_name_prefix="cluster-broker")
-            return self._pool
-
     def close(self) -> None:
-        """Shut the fan-out pool down (idempotent)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        # Shut down outside the lock: workers may be mid-scatter.
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Release nothing: the broker holds no threads or handles.
 
-    def __enter__(self) -> "ClusterBroker":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        Kept so callers that tear a system down can close every broker
+        they hold without knowing what it owns.
+        """
 
     # ------------------------------------------------------------------
     # Scatter-gather execution
@@ -152,37 +136,57 @@ class ClusterBroker:
     def scatter_rollup(self, aggregator: str,
                        filters: Mapping[str, object] | None = None,
                        interval: tuple[float, float] | None = None
-                       ) -> AggregatorState | None:
-        """Merged cluster-wide state for one roll-up (None: no cells).
+                       ) -> tuple[AggregatorState | None, ScatterProfile]:
+        """Merged cluster-wide state for one roll-up (None: no cells),
+        with the round's route/scatter/merge profile."""
+        return self._scatter_gather(
+            "rollup", filters,
+            lambda node, shards: node.shard_partials(
+                aggregator, shards, filters, interval),
+            _fold_rollup, aggregator=aggregator)
 
-        Records the route/scatter/merge phase profile in
-        :attr:`last_profile`.
+    def scatter_group(self, aggregator: str, dimension: str,
+                      filters: Mapping[str, object] | None = None
+                      ) -> tuple[dict[object, AggregatorState],
+                                 ScatterProfile]:
+        """Merged state per distinct value of ``dimension`` (group-by),
+        with the round's route/scatter/merge profile.
+
+        Shards colocate whole cells, so each group value's partials fold
+        across shards in ascending shard order, mirroring the
+        single-process engine's ascending-segment fold.
         """
+        return self._scatter_gather(
+            "group", filters,
+            lambda node, shards: node.group_partials(
+                aggregator, shards, dimension, filters),
+            _fold_groups, aggregator=aggregator, dimension=dimension)
+
+    def _scatter_gather(self, kind: str,
+                        filters: Mapping[str, object] | None,
+                        call: Callable[[DataNode, list[int]],
+                                       list[ShardPartial]],
+                        fold: Callable[[Sequence[ShardPartial]], T],
+                        **span_attributes: str) -> tuple[T, ScatterProfile]:
+        """Route, call every assigned node, fold the partials in ascending
+        shard order, and record the round's :class:`ScatterProfile`."""
         telemetry_on = TELEMETRY.enabled
-        with (TELEMETRY.tracer.span("cluster.scatter", kind="rollup",
-                                    aggregator=aggregator)
+        with (TELEMETRY.tracer.span("cluster.scatter", kind=kind,
+                                    **span_attributes)
               if telemetry_on else nullcontext()) as scatter_span:
             start = time.perf_counter()
             assignments = self.route(filters)
             route_seconds = time.perf_counter() - start
 
             start = time.perf_counter()
-            partials = self._scatter(
-                assignments,
-                lambda node, shards: node.shard_partials(
-                    aggregator, shards, filters, interval))
+            partials = self._scatter(assignments, call)
             scatter_seconds = time.perf_counter() - start
             if telemetry_on:
                 self._absorb_telemetry(p.telemetry for p in partials)
 
             start = time.perf_counter()
             partials.sort(key=lambda partial: partial.shard)
-            merged: AggregatorState | None = None
-            for partial in partials:
-                if merged is None:
-                    merged = partial.state.copy()
-                else:
-                    merged.merge(partial.state)
+            merged = fold(partials)
             merge_seconds = time.perf_counter() - start
 
             profile = ScatterProfile(
@@ -195,94 +199,23 @@ class ClusterBroker:
                 self.queries_served += 1
                 self.last_profile = profile
             if telemetry_on:
-                self._emit_scatter_telemetry(scatter_span, "rollup", profile)
-        return merged
+                self._emit_scatter_telemetry(scatter_span, kind, profile)
+        return merged, profile
 
-    def scatter_group(self, aggregator: str, dimension: str,
-                      filters: Mapping[str, object] | None = None
-                      ) -> dict[object, AggregatorState]:
-        """Merged state per distinct value of ``dimension`` (group-by).
-
-        Shards colocate whole cells, so each group value's partials fold
-        across shards in ascending shard order, mirroring the
-        single-process engine's ascending-segment fold.
-        """
-        telemetry_on = TELEMETRY.enabled
-        with (TELEMETRY.tracer.span("cluster.scatter", kind="group",
-                                    aggregator=aggregator,
-                                    dimension=dimension)
-              if telemetry_on else nullcontext()) as scatter_span:
-            start = time.perf_counter()
-            assignments = self.route(filters)
-            route_seconds = time.perf_counter() - start
-
-            start = time.perf_counter()
-            shard_groups = self._scatter(
-                assignments,
-                lambda node, shards: node.group_partials(
-                    aggregator, shards, dimension, filters))
-            scatter_seconds = time.perf_counter() - start
-            if telemetry_on:
-                self._absorb_telemetry(item[3] for item in shard_groups)
-
-            start = time.perf_counter()
-            shard_groups.sort(key=lambda item: item[0])
-            merged: dict[object, AggregatorState] = {}
-            cells = 0
-            shards_hit = 0
-            partial_bytes = 0
-            for _, groups, shard_cells, _telemetry in shard_groups:
-                shards_hit += 1
-                cells += shard_cells
-                for value, state in groups.items():
-                    partial_bytes += _state_size(state)
-                    existing = merged.get(value)
-                    if existing is None:
-                        merged[value] = state.copy()
-                    else:
-                        existing.merge(state)
-            merge_seconds = time.perf_counter() - start
-
-            profile = ScatterProfile(
-                route_seconds=route_seconds, scatter_seconds=scatter_seconds,
-                merge_seconds=merge_seconds, nodes_queried=len(assignments),
-                shards_scanned=shards_hit, cells_scanned=cells,
-                partial_bytes=partial_bytes)
-            with self._lock:
-                self.queries_served += 1
-                self.last_profile = profile
-            if telemetry_on:
-                self._emit_scatter_telemetry(scatter_span, "group", profile)
-        return merged
-
-    def _scatter(self, assignments: dict[str, list[int]], work) -> list:
-        """Run per-node work on the pool; flatten the gathered results.
-
-        Thread pools do not inherit contextvars, so the active span (the
-        ``cluster.scatter`` span) is captured here and passed as the
-        *explicit* parent of per-node spans created on worker threads —
-        this is what keeps the trace tree connected across the fan-out.
-        """
+    def _scatter(self, assignments: dict[str, list[int]],
+                 call: Callable[[DataNode, list[int]], list[ShardPartial]]
+                 ) -> list[ShardPartial]:
+        """Call each assigned node in node-id order; flatten the replies."""
         nodes = self.coordinator.nodes
-        items = sorted(assignments.items())
-        parent = (TELEMETRY.tracer.current_span()
-                  if TELEMETRY.enabled else None)
+        partials: list[ShardPartial] = []
+        for node_id, shards in sorted(assignments.items()):
+            with (TELEMETRY.tracer.span("cluster.node", node=node_id,
+                                        shards=len(shards))
+                  if TELEMETRY.enabled else nullcontext()):
+                partials.extend(call(nodes[node_id], shards))
+        return partials
 
-        def call(node_id: str, shards: list[int]):
-            if parent is None:
-                return work(nodes[node_id], shards)
-            with TELEMETRY.tracer.span("cluster.node", parent=parent,
-                                       node=node_id, shards=len(shards)):
-                return work(nodes[node_id], shards)
-
-        if len(items) <= 1 or self.threads == 1:
-            gathered = [call(node_id, shards) for node_id, shards in items]
-        else:
-            pool = self._executor()
-            gathered = list(pool.map(lambda item: call(*item), items))
-        return [result for results in gathered for result in results]
-
-    def _absorb_telemetry(self, payloads) -> None:
+    def _absorb_telemetry(self, payloads: Iterable[dict | None]) -> None:
         """Adopt shipped shard spans and fold node histogram partials."""
         if not TELEMETRY.enabled:
             return
@@ -301,12 +234,7 @@ class ClusterBroker:
 
     def _emit_scatter_telemetry(self, scatter_span, kind: str,
                                 profile: ScatterProfile) -> None:
-        """Phase spans + registry metrics for the profile just recorded.
-
-        Takes the profile as an argument (rather than re-reading
-        ``self.last_profile``) so a concurrent scatter cannot swap it
-        between publication and emission.
-        """
+        """Phase spans + registry metrics for the profile just recorded."""
         if not TELEMETRY.enabled:
             return
         tracer = TELEMETRY.tracer
@@ -331,3 +259,28 @@ class ClusterBroker:
                          kind=kind).inc(profile.partial_bytes)
         registry.histogram("cluster_scatter_seconds",
                            kind=kind).observe(profile.scatter_seconds)
+
+
+def _fold_rollup(partials: Sequence[ShardPartial]) -> AggregatorState | None:
+    """Strict left fold of the shard states (None: no partials)."""
+    merged: AggregatorState | None = None
+    for partial in partials:
+        if merged is None:
+            merged = partial.state.copy()
+        else:
+            merged.merge(partial.state)
+    return merged
+
+
+def _fold_groups(partials: Sequence[ShardPartial]
+                 ) -> dict[object, AggregatorState]:
+    """Per group value, a strict left fold of its shard states."""
+    merged: dict[object, AggregatorState] = {}
+    for partial in partials:
+        for value, state in partial.state.items():
+            existing = merged.get(value)
+            if existing is None:
+                merged[value] = state.copy()
+            else:
+                existing.merge(state)
+    return merged

@@ -5,9 +5,10 @@ per shard it hosts, so ingestion runs through the *existing* Druid-style
 roll-up path (time-bucketed cells, packed per-segment
 :class:`~repro.store.PackedSketchStore` rows for moments aggregators)
 and node-local scans reuse the engine's packed vectorized reductions.
-Parallelism in the cluster comes from the broker fanning out *across
-nodes*; every shard partial is the engine's strict left fold, which is
-what makes replicas interchangeable bit-for-bit.
+The broker calls its nodes in turn, in the caller's thread: a node's
+share of a query is a few small numpy reductions per shard.  Every
+shard partial is the engine's strict left fold, which is what makes
+replicas interchangeable bit-for-bit.
 
 The unit of replication and rebalance is the shard snapshot
 (:meth:`DataNode.export_shard` / :meth:`DataNode.import_shard`): packed
@@ -24,7 +25,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +50,10 @@ def _state_size(state: AggregatorState) -> int:
 
 @dataclass
 class ShardPartial:
-    """One shard's merged partial state for a scatter-gather query.
+    """One shard's merged partial for a scatter-gather query.
+
+    ``state`` is the shard's merged :class:`AggregatorState` for a
+    roll-up, or ``{group value: state}`` for a group-by.
 
     ``telemetry`` (present only when the telemetry plane is enabled)
     carries the shard's detached span payload — and, on one partial per
@@ -60,13 +64,15 @@ class ShardPartial:
     """
 
     shard: int
-    state: AggregatorState
+    state: AggregatorState | dict[object, AggregatorState]
     cells_scanned: int
     telemetry: dict | None = None
 
     def size_bytes(self) -> int:
-        """Approximate wire size of the partial (the ~200-byte payload)."""
-        return _state_size(self.state)
+        """Approximate wire size of the partial (~200 bytes per state)."""
+        states = (self.state.values() if isinstance(self.state, dict)
+                  else (self.state,))
+        return sum(_state_size(state) for state in states)
 
 
 @dataclass
@@ -388,10 +394,44 @@ class DataNode:
         partial depends only on the shard's cells and their ingestion
         order, not on which replica computed it.
         """
+        def scan(engine: DruidEngine):
+            if aggregator in engine._packed_names:
+                # The roll-up DruidBackend.rollup runs on a flat engine,
+                # which keeps shard partials bit-exact with shard-aligned
+                # single-process execution.
+                rollup = engine.packed_rollup(aggregator, filters, interval)
+                if rollup is None:
+                    return None
+                return rollup.state, rollup.cells_scanned
+            states = engine._matching_states(aggregator, filters, interval)
+            if not states:
+                return None
+            return engine._merge_states(states), len(states)
+
+        return self._scan_shards(shards, scan, aggregator=aggregator)
+
+    def group_partials(self, aggregator: str, shards: Sequence[int],
+                       dimension: str,
+                       filters: Mapping[str, object] | None = None
+                       ) -> list[ShardPartial]:
+        """One ``{group value: state}`` partial per requested shard with
+        matching cells; ``cells_scanned`` counts the shard's cells."""
+        def scan(engine: DruidEngine):
+            groups = engine.group_states(aggregator, dimension, filters)
+            return (groups, engine.num_cells) if groups else None
+
+        return self._scan_shards(shards, scan, aggregator=aggregator,
+                                 dimension=dimension)
+
+    def _scan_shards(self, shards: Sequence[int],
+                     scan: Callable[[DruidEngine], tuple | None],
+                     **span_attributes: str) -> list[ShardPartial]:
+        """``scan`` every hosted shard of ``shards``; one partial for each
+        shard whose scan returns ``(state, cells_scanned)``."""
         self._check_alive()
-        # Telemetry rides along only when a broker span is active on this
-        # worker thread: each produced partial carries a detached span,
-        # and one partial per reply ships the node's latency histogram.
+        # Telemetry rides along only when a broker span is active: each
+        # produced partial carries a detached span, and one partial per
+        # reply ships the node's latency histogram.
         parent = (TELEMETRY.tracer.current_span()
                   if TELEMETRY.enabled else None)
         hist = LogHistogram() if parent is not None else None
@@ -402,23 +442,12 @@ class DataNode:
                 continue
             span = (TELEMETRY.tracer.span(
                         "cluster.shard", parent=parent, detached=True,
-                        node=self.node_id, shard=shard, aggregator=aggregator)
+                        node=self.node_id, shard=shard, **span_attributes)
                     if parent is not None else None)
-            if aggregator in engine._packed_names:
-                # The roll-up DruidBackend.rollup runs on a flat engine,
-                # which keeps shard partials bit-exact with shard-aligned
-                # single-process execution.
-                rollup = engine.packed_rollup(aggregator, filters, interval)
-                if rollup is None:
-                    continue
-                scanned = rollup.cells_scanned
-                state = rollup.state
-            else:
-                states = engine._matching_states(aggregator, filters, interval)
-                if not states:
-                    continue
-                scanned = len(states)
-                state = engine._merge_states(states)
+            found = scan(engine)
+            if found is None:
+                continue
+            state, scanned = found
             telemetry = None
             if span is not None:
                 span.set_attribute("cells_scanned", scanned)
@@ -431,39 +460,6 @@ class DataNode:
         if hist is not None and partials:
             partials[0].telemetry["hist"] = hist.to_partial()
         return partials
-
-    def group_partials(self, aggregator: str, shards: Sequence[int],
-                       dimension: str,
-                       filters: Mapping[str, object] | None = None
-                       ) -> list[tuple[int, dict, int, dict | None]]:
-        """Per-shard grouped partials: (shard, {value: state}, cells,
-        telemetry) — telemetry as in :meth:`shard_partials`."""
-        self._check_alive()
-        parent = (TELEMETRY.tracer.current_span()
-                  if TELEMETRY.enabled else None)
-        hist = LogHistogram() if parent is not None else None
-        out: list[tuple[int, dict, int, dict | None]] = []
-        for shard in shards:
-            engine = self.shards.get(shard)
-            if engine is None:
-                continue
-            span = (TELEMETRY.tracer.span(
-                        "cluster.shard", parent=parent, detached=True,
-                        node=self.node_id, shard=shard, aggregator=aggregator,
-                        dimension=dimension)
-                    if parent is not None else None)
-            groups = engine.group_states(aggregator, dimension, filters)
-            if groups:
-                telemetry = None
-                if span is not None:
-                    span.set_attribute("groups", len(groups))
-                    payload = span.end()
-                    hist.observe(payload["duration_seconds"])
-                    telemetry = {"span": payload}
-                out.append((shard, groups, engine.num_cells, telemetry))
-        if hist is not None and out:
-            out[0][3]["hist"] = hist.to_partial()
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.alive else "down"

@@ -569,30 +569,6 @@ class PackedSketchStore:
             power_sums=self.power_sums[sel], log_sums=self.log_sums[sel],
             log_valid=self.log_valid[sel])
 
-    def group_bases(self, rows, keys, config=None) -> dict:
-        """Solver-ready bases for a group-by, one batched build.
-
-        Merges ``rows`` by ``keys`` (:meth:`batch_merge_by`) and runs
-        batched moment selection, which builds the bases, for every group
-        aggregate, returning ``{key: (sketch, MaxEntBasis)}`` in
-        first-seen key order — the hand-off
-        :func:`repro.core.batch_solver.solve_batch` consumes.  Groups
-        with degenerate support (point masses) map to ``(sketch,
-        None)``; they need no solve.
-        """
-        from ..core.selector import select_moments_batch
-
-        merged = self.batch_merge_by(rows, keys)
-        solvable = {key: sketch for key, sketch in merged.items()
-                    if sketch.max > sketch.min}
-        out: dict = {key: (sketch, None) for key, sketch in merged.items()}
-        if solvable:
-            sketches = list(solvable.values())
-            for key, sketch, selection in zip(
-                    solvable, sketches, select_moments_batch(sketches, config)):
-                out[key] = (sketch, selection.basis)
-        return out
-
     # ------------------------------------------------------------------
     # Bulk serialization
     # ------------------------------------------------------------------

@@ -4,9 +4,8 @@ Spans carry ``trace_id``/``span_id``/``parent_id``, a monotonic start
 plus duration, and structured attributes.  The active span is tracked in
 a :class:`contextvars.ContextVar`, so nesting works transparently on one
 thread.  Thread pools do NOT inherit context vars automatically — code
-fanning out across a pool captures ``tracer.current_span()`` before the
-fan-out and passes it as the explicit ``parent`` of per-worker spans
-(see ``ClusterBroker._scatter``).
+fanning out across a pool must capture ``tracer.current_span()`` before
+the fan-out and pass it as the explicit ``parent`` of per-worker spans.
 
 Spans can also be created *detached*: they never touch the context var
 and their payload is returned to the caller instead of recorded, so a
@@ -161,8 +160,9 @@ class Tracer:
         """Create a span.
 
         ``parent="current"`` (default) parents to the active span of this
-        thread/context; pass an explicit Span/SpanContext when crossing a
-        thread pool, or ``None`` to force a new root trace.
+        thread/context; pass an explicit Span/SpanContext to parent a
+        span created on another thread, or ``None`` to force a new root
+        trace.
         """
         ctx = (self.current_context() if isinstance(parent, str)
                else _parent_context(parent))

@@ -610,17 +610,3 @@ class TestPackedStoreFeeds:
             scalar = markov_bound(sketches[row], t)
             assert (batch.lower[position], batch.upper[position]) \
                 == (scalar.lower, scalar.upper)
-
-    def test_group_bases_feed_solve_batch(self):
-        from repro.store import PackedSketchStore
-        sketches = make_sketches(seed=14, count=12, k=6)
-        store = PackedSketchStore.from_sketches(sketches)
-        keys = [i % 3 for i in range(len(sketches))]
-        grouped = store.group_bases(np.arange(len(sketches)), keys, CONFIG)
-        assert set(grouped) == {0, 1, 2}
-        bases = [basis for _, basis in grouped.values() if basis is not None]
-        outcome = solve_batch(bases, CONFIG)
-        assert outcome.batched == len(bases)
-        merged = store.batch_merge_by(np.arange(len(sketches)), keys)
-        for key, (sketch, _) in grouped.items():
-            assert sketch.count == merged[key].count

@@ -13,13 +13,15 @@ Covers the three promises the cluster makes:
   changes, with scan sharing in ``execute_batch``.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import QueryService, QuerySpec, as_backend, qkey
 from repro.cluster import (ClusterBackend, ClusterBroker, ClusterCoordinator,
-                           HashRing, shard_of, stable_hash)
+                           DataNode, HashRing, shard_of, stable_hash)
 from repro.core.errors import ClusterError, QueryError
 from repro.druid import (DoubleSumAggregator, DruidEngine,
                          MomentsSketchAggregator)
@@ -322,6 +324,27 @@ class TestCoordinator:
 # Broker + unified-API backend
 # ----------------------------------------------------------------------
 
+#: Query kinds the failover and scale-out tests run: the roll-up
+#: (``scatter_rollup``) and the three grouped kinds (``scatter_group``).
+ANSWER_KINDS = ("quantile", "group_by", "top_n", "threshold_count")
+
+
+def grouped_spec(kind, values):
+    if kind == "threshold_count":
+        return QuerySpec(kind=kind, quantiles=(0.99,),
+                         thresholds=(float(np.quantile(values, 0.95)),),
+                         measure="m", group_dimension="cell")
+    return QuerySpec(kind=kind, quantiles=(0.9,), measure="m",
+                     group_dimension="cell", n=5 if kind == "top_n" else None)
+
+
+def assert_same_answers(response, expected):
+    assert response.groups == expected.groups
+    assert response.top == expected.top
+    assert response.estimates == expected.estimates
+    assert response.value == expected.value
+
+
 class TestClusterServing:
     @pytest.fixture(scope="class")
     def setup(self, data):
@@ -438,37 +461,44 @@ class TestClusterServing:
         report = service.last_batch_report
         assert report.distinct_scans == 1
 
-    def test_failover_keeps_answers_bit_exact(self, data):
+    @pytest.mark.parametrize("kind", ANSWER_KINDS)
+    def test_failover_keeps_answers_bit_exact(self, data, kind):
         values, cells = data
         cluster = make_cluster(nodes=4, shards=16, replication=2)
         ingest(cluster, data)
         service = QueryService(cluster=cluster)
-        spec = QuerySpec(kind="quantile", quantiles=(0.5, 0.99), measure="m",
-                         report_moments=True)
+        spec = (QuerySpec(kind="quantile", quantiles=(0.5, 0.99), measure="m",
+                          report_moments=True)
+                if kind == "quantile" else grouped_spec(kind, values))
         before = service.execute(spec)
         cluster.fail_node("n0", repair=False)
         degraded = service.execute(spec)
         assert degraded.moments == before.moments
         assert degraded.estimates == before.estimates
+        assert_same_answers(degraded, before)
         # Repair the first loss, then survive a second, unrelated one.
         cluster.fail_node("n0", repair=True)
         cluster.fail_node("n1", repair=True)
         repaired = service.execute(spec)
         assert repaired.moments == before.moments
         assert repaired.estimates == before.estimates
+        assert_same_answers(repaired, before)
 
-    def test_scale_out_keeps_answers_bit_exact(self, data):
+    @pytest.mark.parametrize("kind", ANSWER_KINDS)
+    def test_scale_out_keeps_answers_bit_exact(self, data, kind):
         cluster = make_cluster(nodes=2, shards=16, replication=2)
         ingest(cluster, data)
         service = QueryService(cluster=cluster)
-        spec = QuerySpec(kind="quantile", quantiles=(0.5,), measure="m",
-                         report_moments=True)
+        spec = (QuerySpec(kind="quantile", quantiles=(0.5,), measure="m",
+                          report_moments=True)
+                if kind == "quantile" else grouped_spec(kind, data[0]))
         before = service.execute(spec)
         for new in ("n2", "n3", "n4"):
             cluster.add_node(new)
             grown = service.execute(spec)
             assert grown.moments == before.moments, new
             assert grown.estimates == before.estimates, new
+            assert_same_answers(grown, before)
 
     def test_all_replicas_down_is_unroutable(self, data):
         cluster = make_cluster(nodes=2, shards=8, replication=2)
@@ -494,3 +524,55 @@ class TestClusterServing:
         # ~200 bytes per shard partial at k=8 (the paper's selling point).
         assert profile.partial_bytes < 300 * profile.shards_scanned
         assert profile.cells_scanned == cluster.num_cells
+
+
+class TestScatterInCallerThread:
+    def test_nodes_scan_on_the_calling_thread(self, data, monkeypatch):
+        cluster = make_cluster(nodes=4, shards=16)
+        ingest(cluster, data)
+        threads = []
+        for name in ("shard_partials", "group_partials"):
+            method = getattr(DataNode, name)
+
+            def recorded(self, *args, _method=method, **kwargs):
+                threads.append(threading.get_ident())
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(DataNode, name, recorded)
+        service = QueryService(cluster=cluster)
+        service.execute(QuerySpec(kind="group_by", quantiles=(0.5,),
+                                  measure="m", group_dimension="cell"))
+        service.execute(QuerySpec(kind="quantile", quantiles=(0.5,),
+                                  measure="m"))
+        assert len(threads) == 8  # every node, once per scan
+        assert set(threads) == {threading.get_ident()}
+
+    def test_response_reports_its_own_scatter_profile(self, data):
+        cluster = make_cluster(nodes=4, shards=16)
+        ingest(cluster, data)
+
+        class InterleavedBroker(ClusterBroker):
+            """Another caller's point scan completes right after each
+            scatter, before the backend builds its response."""
+
+            def scatter_rollup(self, *args, **kwargs):
+                result = super().scatter_rollup(*args, **kwargs)
+                super().scatter_rollup("m", {"cell": 7})
+                return result
+
+            def scatter_group(self, *args, **kwargs):
+                result = super().scatter_group(*args, **kwargs)
+                super().scatter_rollup("m", {"cell": 7})
+                return result
+
+        interleaved = QueryService(
+            cluster=ClusterBackend(InterleavedBroker(cluster)))
+        alone = QueryService(cluster=cluster)
+        for spec in (QuerySpec(kind="quantile", measure="m"),
+                     QuerySpec(kind="group_by", measure="m",
+                               group_dimension="cell")):
+            ours = interleaved.execute(spec)
+            expected = alone.execute(spec)
+            assert ours.cells_scanned == expected.cells_scanned \
+                == cluster.num_cells
+            assert ours.merges == expected.merges
